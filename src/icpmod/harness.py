@@ -342,7 +342,8 @@ class ClosedLoop:
     "mpc_offset_free" (augmented observer plus beat-periodic disturbance
     memory feeding the MPC preview).  The memory preview is read a few
     phases ahead (`preview_lead_steps`) to cancel the estimation lag of the
-    repetitive channel.
+    repetitive channel.  `qp_fallbacks` counts the MPC steps that took the
+    controller's decayed-hold fallback.
     """
 
     def __init__(self, model: LtiModel, cfg: RunConfig, bench: PhantomBench,
@@ -361,6 +362,7 @@ class ClosedLoop:
         self.horizon = cfg.mpc.horizon
         self.d_inject = float(cfg.output_disturbance_mm)
         self.k = 0
+        self.qp_fallbacks = 0
         self._y_prev = None
         self.memory = None
         if controller == "pid":
@@ -402,11 +404,13 @@ class ClosedLoop:
             res = self.ctrl.step(xhat, np.zeros(n), ref_window)
             self._y_prev = y
             u, iters, slack = res.u, res.iterations, res.slack_max
+            self.qp_fallbacks += res.fallback
         else:
             lead_phase = phase + self.cfg.preview_lead_steps
             res = self.ctrl.step(self.est.x, self.memory.preview(lead_phase, n),
                                  ref_window)
             u, iters, slack = res.u, res.iterations, res.slack_max
+            self.qp_fallbacks += res.fallback
             self.est = observer_step(self.est, self.gain, self.aug, u, y)
             self.memory.update(self.est.d)
             d_hat = self.est.d
@@ -420,6 +424,20 @@ class ClosedLoop:
         self.bench.apply(u)
         self.k += 1
         return row
+
+    def coast(self) -> None:
+        """Run one sample at zero input without reading the pressure sensor,
+        as after a pressure-guard trip. The estimators still take the
+        position measurement, so the observer stays current and the
+        disturbance memory stays at the bench phase."""
+        y = self.bench.state.position + self.d_inject
+        if self.kind == "mpc":
+            self._y_prev = y
+        elif self.kind == "mpc_offset_free":
+            self.est = observer_step(self.est, self.gain, self.aug, 0.0, y)
+            self.memory.update(self.est.d)
+        self.bench.apply(0.0)
+        self.k += 1
 
     def run_periods(self, n_periods: int, recorder: TraceRecorder | None = None):
         for _ in range(n_periods * self.traj.period):
@@ -484,15 +502,12 @@ def _summarize_tracking(cfg: RunConfig, controller: str, rec: TraceRecorder,
     y = rec.column("y_mm")[start:]
     rep = tracking_report(r, y)
     safety = trace_violations(rec, cfg.mpc.constraints)
-    fallbacks = 0
-    if controller != "pid":
-        fallbacks = sum(1 for ev in loop.ctrl.events if ev.get("kind") == "fallback")
     return ControllerRun(
         controller=controller, trace=rec, nrmse_pct=rep.nrmse_pct,
         mate_mm=rep.mate_mm, max_abs_error_mm=float(np.max(np.abs(r - y))),
         input_violations=safety["input_violations"],
         position_violations=safety["position_violations"],
-        clamp_events=bench.clamp_events, qp_fallbacks=fallbacks)
+        clamp_events=bench.clamp_events, qp_fallbacks=loop.qp_fallbacks)
 
 
 def run_tracking(cfg: RunConfig) -> TrackingResult:
@@ -561,7 +576,8 @@ class _PeriodRunner:
     runs one period, and reports the pressure trace, the disturbance-memory
     wrap delta (the settling signal), and any safety events (travel-stop
     clamps or a pressure-guard trip).  After a guard trip the remainder of
-    the period runs with zero input so the next evaluation starts aligned.
+    the period coasts at zero input (`ClosedLoop.coast`), so the next
+    evaluation starts aligned and the disturbance memory stays in phase.
     """
 
     def __init__(self, loop: ClosedLoop, cfg: RunConfig, period: int):
@@ -591,8 +607,7 @@ class _PeriodRunner:
             except PressureGuardError:
                 safety += 1
                 for _ in range(self.period - i):
-                    self.loop.bench.apply(0.0)
-                    self.loop.k += 1
+                    self.loop.coast()
                 break
             pressures.append(row["p_mmhg"])
         safety += self.loop.bench.clamp_events - clamp0

@@ -153,12 +153,6 @@ class Constraints:
                 raise ValueError(f"{name} bounds must satisfy lo < hi, got {lo} >= {hi}")
             object.__setattr__(self, name, (float(lo), float(hi)))
 
-    def check_baseline(self, baseline: float) -> None:
-        lo, hi = self.position
-        if not lo < baseline < hi:
-            raise ValueError(
-                f"baseline position {baseline} outside position bounds ({lo}, {hi})")
-
 
 def identify_lti(inputs, outputs, dt, b_d=None, c_d: float = 1.0) -> LtiModel:
     """Fit the 2-state model by one-step least squares on logged data.

@@ -17,9 +17,10 @@ Input constraints stay hard; state constraints are softened with an L1
 penalty (plus a tiny quadratic term that keeps the Hessian positive
 definite), so the QP is feasible for every state and the controller cannot
 fail on a disturbance spike. Slack activity is surfaced per step for safety
-logging. If the solver ever reports infeasibility regardless, the controller
-falls back to the previous input decayed by half, the least-surprise safe
-action for a balloon actuator.
+logging. If a solve ends with any status other than "optimal" regardless
+("infeasible" or "failed"), the controller falls back to the previous input
+decayed by half, the least-surprise safe action for a balloon actuator, and
+records the event as "qp_<status>".
 
 A PID controller with filtered derivative and back-calculation anti-windup is
 included as the comparison baseline.
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Constraints, LtiModel
-from .qpsolver import QpProblem, SolverCache, build_cache, solve_qp
+from .qpsolver import QpProblem, solve_qp
 
 __all__ = [
     "MpcConfig",
@@ -207,34 +208,24 @@ class MpcStepResult:
 class MpcController:
     """Receding-horizon tracking controller around the condensed QP.
 
-    Holds the constant condensing matrices and solver cache, warm-starts each
-    solve from the previous solution shifted by one step, and applies the
-    decaying-hold fallback if the solver fails.
+    Holds the constant condensing matrices, hot-starts each solve from the
+    active set of the previous solution shifted by one step, and applies the
+    decaying-hold fallback on any non-optimal solve.
     """
 
-    def __init__(self, model: LtiModel, cfg: MpcConfig | None = None,
-                 tol: float = 1e-8, max_iter: int = 2000):
+    def __init__(self, model: LtiModel, cfg: MpcConfig | None = None):
         self.cfg = cfg if cfg is not None else MpcConfig()
         self.model = model
         self._cond = _Condenser(model, self.cfg)
-        self._cache: SolverCache = build_cache(self._cond.H, self._cond.G)
-        self._tol = tol
-        self._max_iter = max_iter
-        self._z = np.zeros(self._cond.n)
         self._y = np.zeros(self._cond.m)
-        self._z_shift, self._y_shift = self._shift_maps()
+        self._y_shift = self._shift_map()
         self._u_prev = 0.0
         self.events: list[dict] = []
         self._step_count = 0
 
-    def _shift_maps(self):
-        # index maps implementing "previous solution advanced by one step"
+    def _shift_map(self):
+        # row index map implementing "previous duals advanced by one step"
         N, n_s = self._cond.N, self._cond.N - 1
-        z = np.arange(self._cond.n)
-        z[:N - 1] = np.arange(1, N)                  # u_i <- u_{i+1}
-        for blk in range(2):
-            off = N + blk * n_s
-            z[off:off + n_s - 1] = np.arange(off + 1, off + n_s)
         y = np.arange(self._cond.m)
         y[:N - 1] = np.arange(1, N)
         r = N
@@ -244,7 +235,7 @@ class MpcController:
         for _ in range(2):                           # slack nonneg rows
             y[r:r + n_s - 1] = np.arange(r + 1, r + n_s)
             r += n_s
-        return z, y
+        return y
 
     def step(self, xhat, d_preview, ref_window) -> MpcStepResult:
         """Compute the input for the current step.
@@ -260,27 +251,22 @@ class MpcController:
             raise ValueError(f"d_preview and ref_window must have {N} entries")
 
         problem = self._cond.assemble(xhat, d, ref)
-        sol = solve_qp(problem, tol=self._tol, max_iter=self._max_iter,
-                       cache=self._cache,
-                       z0=self._z[self._z_shift], y0=self._y[self._y_shift])
+        sol = solve_qp(problem, y0=self._y[self._y_shift])
         self._step_count += 1
 
-        if sol.status == "infeasible":
+        if sol.status != "optimal":
             u = 0.5 * self._u_prev
             self.events.append({"step": self._step_count,
-                                "kind": "qp_infeasible", "u_fallback": u})
+                                "kind": "qp_" + sol.status,
+                                "iterations": sol.iterations, "u_fallback": u})
             self._u_prev = u
             return MpcStepResult(u=u, status=sol.status,
                                  iterations=sol.iterations,
                                  objective=float("nan"), slack_max=0.0,
                                  fallback=True)
 
-        self._z, self._y = sol.z, sol.y
+        self._y = sol.y
         slack_max = float(np.max(sol.z[N:], initial=0.0))
-        if sol.status != "optimal":
-            self.events.append({"step": self._step_count,
-                                "kind": "qp_" + sol.status,
-                                "iterations": sol.iterations})
         if slack_max > 1e-6:
             self.events.append({"step": self._step_count,
                                 "kind": "state_slack_active",
@@ -293,7 +279,6 @@ class MpcController:
                              objective=sol.objective, slack_max=slack_max)
 
     def reset(self):
-        self._z = np.zeros(self._cond.n)
         self._y = np.zeros(self._cond.m)
         self._u_prev = 0.0
         self.events.clear()

@@ -111,7 +111,6 @@ class ObserverGain:
 
 
 DEFAULT_OBSERVER_POLES = (0.5, 0.55, 0.8)
-DEFAULT_STATE_OBSERVER_POLES = (0.5, 0.55)
 
 
 def place_observer_poles(aug: AugmentedModel, poles=DEFAULT_OBSERVER_POLES) -> ObserverGain:
@@ -119,14 +118,6 @@ def place_observer_poles(aug: AugmentedModel, poles=DEFAULT_OBSERVER_POLES) -> O
     with a characteristic-coefficient fallback)."""
     L = _place_siso(aug.A_a, aug.C_a, poles)
     achieved = np.linalg.eigvals(aug.A_a - np.outer(L, aug.C_a))
-    return ObserverGain(L=L, poles=np.sort_complex(achieved))
-
-
-def place_state_observer_poles(A: np.ndarray, C: np.ndarray,
-                               poles=DEFAULT_STATE_OBSERVER_POLES) -> ObserverGain:
-    """Same design on an unaugmented (A, C) pair; used by the plain MPC."""
-    L = _place_siso(np.asarray(A, dtype=float), np.asarray(C, dtype=float), poles)
-    achieved = np.linalg.eigvals(A - np.outer(L, C))
     return ObserverGain(L=L, poles=np.sort_complex(achieved))
 
 
@@ -197,6 +188,3 @@ class DisturbanceMemory:
         i = 0..n-1: the value recorded one period before prediction step i."""
         idx = (phase + np.arange(n)) % self.period
         return self.previous[idx]
-
-    def value_at(self, phase: int) -> float:
-        return float(self.previous[phase % self.period])

@@ -3,49 +3,41 @@
     minimize    0.5 z'Hz + g'z + c
     subject to  lo <= G z <= hi
 
-A problem without rows is solved directly. Otherwise a solve tries three
-stages in turn, all deterministic functions of the problem data, so repeated
-solves are bit-identical:
+One method solves every problem: the dual active-set method of Goldfarb &
+Idnani (1983), hot-started from the active set that the signs of a previous
+dual vector imply (y0_i < 0: row i at its lower bound, y0_i > 0: at its
+upper bound; equality rows are always in the set). Every result is the
+solution of a KKT system of a working set, so a receding-horizon caller
+whose active set did not change gets the exact optimum from one KKT solve,
+and a changed set is repaired by adding or dropping one row per step. The
+method terminates in finitely many steps in exact arithmetic. It is a
+deterministic function of the problem data and y0, so repeated solves are
+bit-identical.
 
-1. Hot start: the active set implied by the warm-start duals is taken as a
-   guess and its KKT system solved (the polish step).
-2. Active-set finish: if that candidate fails, a dual active-set method
-   (Goldfarb & Idnani 1983) starts from the guessed set, drops rows whose
-   multipliers have the wrong sign, and adds or drops one row per step.
-   It terminates in finitely many steps in exact arithmetic.
-3. Splitting iteration: if the finish breaks down or its result fails the
-   residual test, an operator-splitting (ADMM) iteration in the OSQP style
-   runs. It uses one Ruiz equilibration pass at setup, a step parameter rho
-   adapted in half-decade steps, over-relaxation alpha = 1.6, and the same
-   polish once its residuals are small. This stage alone can report
-   "max_iterations" or "infeasible".
+Statuses:
+- "optimal": the result passes the residual test below and the multiplier
+  signs are right;
+- "infeasible": no step of the method can meet a violated row, which
+  certifies that the rows cannot all hold;
+- "failed": a KKT system broke down, the 4 (n + m) step cap was reached, or
+  the final result failed the residual test (e.g. with tol = 0).
 
 Termination reports unscaled residuals: primal = max box violation of G z,
-dual = || H z + g + G' y ||_inf.  Stopping tests are relative: each residual
-is compared against tol * (1 + magnitude of the terms entering it), so badly
+dual = || H z + g + G' y ||_inf.  The tests are relative: each residual is
+compared against tol * (1 + magnitude of the terms entering it), so badly
 scaled objectives (e.g. large linear penalty terms) terminate correctly.
-Every stage accepts a result only under this test.
 The dual vector y follows the convention y_i < 0 on active lower bounds,
 y_i > 0 on active upper bounds.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
-_SIGMA = 1e-6
-_ALPHA = 1.6
-_RHO = 0.1
-_RHO_EQ_SCALE = 1e3
-_RUIZ_ITERS = 10
-_CHECK_EVERY = 25
-_POLISH_TRIGGER = 1e-2
-_POLISH_DELTA = 1e-9
-_EPS_INFEAS = 1e-8
+_DELTA = 1e-9      # KKT regularization
 
 
 @dataclass
@@ -97,154 +89,31 @@ class QpProblem:
     def objective(self, z: np.ndarray) -> float:
         return float(0.5 * z @ self.H @ z + self.g @ z + self.c)
 
-    def save(self, path) -> None:
-        data = {"H": self.H.tolist(), "g": self.g.tolist(), "G": self.G.tolist(),
-                "lo": self.lo.tolist(), "hi": self.hi.tolist(), "c": self.c}
-        with open(path, "w") as fh:
-            json.dump(data, fh)  # Python json dialect: +-Infinity allowed
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "QpProblem":
-        with open(path) as fh:
-            d = json.load(fh)
-        return cls(H=np.array(d["H"]), g=np.array(d["g"]), G=np.array(d["G"]),
-                   lo=np.array(d["lo"]), hi=np.array(d["hi"]), c=d.get("c", 0.0))
-
 
 @dataclass
 class QpSolution:
     z: np.ndarray
     objective: float
-    status: str                  # "optimal" | "max_iterations" | "infeasible"
-    iterations: int              # splitting iterations, or active-set steps
+    status: str                  # "optimal" | "infeasible" | "failed"
+    iterations: int              # active-set steps after the first KKT solve
     primal_residual: float
     dual_residual: float
-    y: np.ndarray = field(default=None)  # type: ignore[assignment]
-    merit_history: np.ndarray | None = None
+    y: np.ndarray
 
 
-@dataclass
-class SolverCache:
-    """Scaling and factorizations reusable across solves sharing (H, G).
-
-    The cost scale depends on g, which changes between solves sharing a
-    cache, so KKT factorizations are kept per observed cost scale. In MPC
-    use the scale is dominated by constant penalty weights, so the map holds
-    a single entry in practice.
-    """
-
-    d: np.ndarray            # variable scaling diag
-    e: np.ndarray            # row scaling diag
-    Hs: np.ndarray           # Ruiz-scaled H, unit cost scale
-    Gs: np.ndarray
-    rho: np.ndarray          # per-row step multiplier (boosted on eq rows)
-    h_norm: float            # mean column norm of Hs, for the cost scale
-    h_factor: tuple          # Cholesky of H + delta I, for polish with no active rows
-    kkt_factors: dict = field(default_factory=dict)  # (cost, rho) -> factor
-
-    def cost_scale(self, g: np.ndarray) -> float:
-        gs = float(np.max(np.abs(self.d * g), initial=0.0))
-        return 1.0 / max(self.h_norm, gs, 1e-12)
-
-    def kkt_factor(self, cs: float, rho_scalar: float) -> tuple:
-        key = (cs, rho_scalar)
-        factor = self.kkt_factors.get(key)
-        if factor is None:
-            n = self.Hs.shape[0]
-            M = cs * self.Hs + _SIGMA * np.eye(n)
-            if self.Gs.shape[0]:
-                rho = rho_scalar * self.rho
-                M = M + (self.Gs * rho[:, None]).T @ self.Gs
-            factor = cho_factor(M, lower=True)
-            self.kkt_factors[key] = factor
-        return factor
-
-
-def build_cache(H: np.ndarray, G: np.ndarray, lo=None, hi=None) -> SolverCache:
-    H = np.asarray(H, dtype=float)
-    G = np.asarray(G, dtype=float)
-    n = H.shape[0]
-    m = G.shape[0]
-
-    d = np.ones(n)
-    e = np.ones(m)
-    Hs = H.copy()
-    Gs = G.copy()
-    for _ in range(_RUIZ_ITERS):
-        col = np.maximum(
-            np.max(np.abs(Hs), axis=0),
-            np.max(np.abs(Gs), axis=0) if m else 0.0)
-        row = np.max(np.abs(Gs), axis=1) if m else np.empty(0)
-        dd = 1.0 / np.sqrt(np.maximum(col, 1e-12))
-        de = 1.0 / np.sqrt(np.maximum(row, 1e-12))
-        Hs = Hs * dd[:, None] * dd[None, :]
-        if m:
-            Gs = Gs * de[:, None] * dd[None, :]
-        d *= dd
-        e *= de
-    h_norm = float(np.mean(np.max(np.abs(Hs), axis=0))) if n else 0.0
-
-    rho = np.ones(m)
-    if m and lo is not None and hi is not None:
-        eq = np.asarray(lo) == np.asarray(hi)
-        rho[eq] = _RHO_EQ_SCALE
-
-    h_factor = cho_factor(H + _POLISH_DELTA * np.eye(n), lower=True)
-    return SolverCache(d=d, e=e, Hs=Hs, Gs=Gs, rho=rho, h_norm=h_norm,
-                       h_factor=h_factor)
-
-
-def _residuals(p: QpProblem, z: np.ndarray, y: np.ndarray):
-    if p.m:
-        gz = p.G @ z
-        r_prim = float(np.max(np.abs(gz - np.clip(gz, p.lo, p.hi))))
-        r_dual = float(np.max(np.abs(p.H @ z + p.g + p.G.T @ y)))
-    else:
-        r_prim = 0.0
-        r_dual = float(np.max(np.abs(p.H @ z + p.g))) if p.n else 0.0
-    return r_prim, r_dual
-
-
-def _residual_scales(p: QpProblem, z: np.ndarray, y: np.ndarray,
-                     w: np.ndarray | None = None):
-    """Residuals plus relative scale factors, so stopping tolerances track
-    the magnitudes of the terms entering each residual (a QP with a large
-    linear cost would otherwise never pass an absolute test).
-
-    With `w` (the projected constraint copy of the splitting iteration) the
-    primal residual is the splitting gap |Gz - w|, which upper-bounds the box
-    violation and also catches complementarity errors: y is nonzero only
-    where w sits on a bound. Without it (polish candidates, where y is
-    nonzero only on rows solved at their bounds) the box violation is used.
-    """
-    gz = p.G @ z
-    tgt = np.clip(gz, p.lo, p.hi) if w is None else w
-    r_prim = float(np.max(np.abs(gz - tgt)))
-    hz = p.H @ z
-    gty = p.G.T @ y
-    r_dual = float(np.max(np.abs(hz + p.g + gty)))
-    sc_prim = 1.0 + max(float(np.max(np.abs(gz))),
-                        float(np.max(np.abs(tgt))))
-    sc_dual = 1.0 + max(float(np.max(np.abs(hz))),
-                        float(np.max(np.abs(gty))),
-                        float(np.max(np.abs(p.g))))
-    return r_prim, r_dual, sc_prim, sc_dual
-
-
-def _guess_active(p: QpProblem, y_scaled: np.ndarray):
-    """Active set implied by splitting duals: (low, up, eq) row masks.
+def _guess_active(p: QpProblem, y0: np.ndarray | None):
+    """Active set implied by the signs of y0: (low, up, eq) row masks.
 
     Equality rows are always in the set and counted as upper rows.
     """
-    # Relative activity threshold: the splitting leaves float dust (~1e-16
-    # of the dual scale) on inactive rows, which must not enter the active
-    # set. A row whose selected bound is infinite cannot be active either.
-    y_mag = float(np.max(np.abs(y_scaled), initial=0.0))
-    thresh = 1e-14 * y_mag
-    low = (y_scaled < -thresh) & np.isfinite(p.lo)
-    up = (y_scaled > thresh) & np.isfinite(p.hi)
-    eq = p.lo == p.hi if p.m else np.empty(0, dtype=bool)
+    eq = p.lo == p.hi
+    y0 = np.zeros(p.m) if y0 is None else np.asarray(y0, dtype=float)
+    # Relative activity threshold: float dust (~1e-16 of the dual scale) on
+    # inactive rows must not enter the active set. A row whose selected
+    # bound is infinite cannot be active either.
+    thresh = 1e-14 * float(np.max(np.abs(y0), initial=0.0))
+    low = (y0 < -thresh) & np.isfinite(p.lo)
+    up = (y0 > thresh) & np.isfinite(p.hi)
     return low & ~eq, up | eq, eq
 
 
@@ -252,89 +121,58 @@ def _kkt_solve(H: np.ndarray, A: np.ndarray, top: np.ndarray,
                bot: np.ndarray):
     """Solve [H A'; A 0] [z; nu] = [top; bot] through the regularized matrix
     [H + delta I, A'; A, -delta I] (so a singular H or dependent rows still
-    factor) with two refinement steps against the unregularized one.
+    factor) with two refinement steps against the unregularized one. The
+    regularized matrix is LU-factored once, by the LAPACK routines that
+    scipy's lu_factor/lu_solve wrap: called directly, getrf reports a
+    singular matrix by its return code (lu_factor only warns), and the
+    wrappers' per-call overhead is saved.
 
-    Returns (z, nu), or None if the regularized matrix is singular.
+    Returns (z, nu), or None if the regularized matrix is singular or the
+    solution is not finite.
     """
     n, na = H.shape[0], A.shape[0]
     K = np.zeros((n + na, n + na))
-    K[:n, :n] = H + _POLISH_DELTA * np.eye(n)
+    K[:n, :n] = H + _DELTA * np.eye(n)
     K[:n, n:] = A.T
     K[n:, :n] = A
-    K[n:, n:] = -_POLISH_DELTA * np.eye(na)
+    K[n:, n:] = -_DELTA * np.eye(na)
+    lu, piv, info = dgetrf(K)
+    if info != 0:
+        return None
     rhs = np.concatenate([top, bot])
-    try:
-        sol = np.linalg.solve(K, rhs)
-        for _ in range(2):
-            res = rhs - np.concatenate([H @ sol[:n] + A.T @ sol[n:],
-                                        A @ sol[:n]])
-            sol = sol + np.linalg.solve(K, res)
-    except np.linalg.LinAlgError:
+    sol = dgetrs(lu, piv, rhs)[0]
+    for _ in range(2):
+        res = rhs - np.concatenate([H @ sol[:n] + A.T @ sol[n:], A @ sol[:n]])
+        sol = sol + dgetrs(lu, piv, res)[0]
+    if not np.all(np.isfinite(sol)):
         return None
     return sol[:n], sol[n:]
 
 
-def _try_polish(p: QpProblem, y_scaled: np.ndarray, cache: SolverCache, tol: float):
-    """Solve the KKT system of the active set implied by the ADMM duals.
-
-    Returns (z, y, r_prim, r_dual) on success, None if the candidate fails
-    feasibility, stationarity, or multiplier-sign checks.
-    """
-    low, up, eq = _guess_active(p, y_scaled)
-    idx = np.flatnonzero(low | up)
-
-    if idx.size == 0:
-        z = -cho_solve(cache.h_factor, p.g)
-        # one refinement step against the unregularized system
-        z += -cho_solve(cache.h_factor, p.H @ z + p.g)
-        y = np.zeros(p.m)
-    else:
-        b_a = np.where(up[idx], p.hi[idx], p.lo[idx])
-        sol = _kkt_solve(p.H, p.G[idx], -p.g, b_a)
-        if sol is None:
-            return None
-        z, nu = sol
-        sign_slack = 1e-9 * (1.0 + np.max(np.abs(nu)))
-        bad_low = low[idx] & (nu > sign_slack)
-        bad_up = up[idx] & ~eq[idx] & (nu < -sign_slack)
-        if np.any(bad_low) or np.any(bad_up):
-            return None
-        y = np.zeros(p.m)
-        y[idx] = nu
-    if not np.all(np.isfinite(z)):
-        return None
-    r_prim, r_dual, sc_prim, sc_dual = _residual_scales(p, z, y)
-    if r_prim <= tol * sc_prim and r_dual <= tol * sc_dual:
-        return z, y, r_prim, r_dual
-    return None
-
-
-def _active_set_finish(p: QpProblem, y_scaled: np.ndarray, tol: float):
-    """Dual active-set method (Goldfarb & Idnani 1983), hot-started from the
-    active set implied by the splitting duals.
+def solve_qp(p: QpProblem, tol: float = 1e-8,
+             y0: np.ndarray | None = None) -> QpSolution:
+    """Solve the QP by the dual active-set method, hot-started from the
+    active set implied by the signs of y0 (the empty set if y0 is None).
 
     Each working-set row j is kept as a signed normal a_j'z <= b_j (an upper
     row as G_i z <= hi_i, a lower row as -G_i z <= -lo_i) with multiplier
     lam_j >= 0; equality rows keep a free multiplier and never leave. The
     invariant is that z minimizes the objective with the working set held at
     its bounds and lam is dual feasible. The hot start enforces it by
-    dropping the most negative multiplier until none is left. Each step then
-    takes the most violated row (by distance to its bound) and raises its
-    multiplier until either the row is met (it joins the set) or a working
-    multiplier reaches zero (that row leaves); this terminates in finitely
-    many steps in exact arithmetic. KKT systems are solved as in the polish,
-    so a singular H is regularized the same way.
-
-    Returns (z, y, r_prim, r_dual, steps) if the result passes the same
-    relative residual test as the splitting iteration, None otherwise (the
-    caller then falls back to the splitting iteration).
+    dropping the most negative multiplier until none is left (up to a slack
+    of 1e-9 relative to the largest multiplier); when y0 came
+    from the solution of a problem with the same active set, its first KKT
+    solve is the answer and `iterations` is 0. Each step then takes the most
+    violated row (by distance to its bound) and raises its multiplier until
+    either the row is met (it joins the set) or a working multiplier reaches
+    zero (that row leaves).
     """
     G = p.G
-    low, up, eq = _guess_active(p, y_scaled)
+    low, up, eq = _guess_active(p, y0)
     rows = list(np.flatnonzero(low | up))
     sides = [1.0 if up[i] else -1.0 for i in rows]
-    row_norm = np.maximum(np.linalg.norm(G, axis=1), 1e-300)
     max_steps = 4 * (p.n + p.m)
+    row_norm = None
 
     def normals():
         s = np.asarray(sides)
@@ -343,61 +181,79 @@ def _active_set_finish(p: QpProblem, y_scaled: np.ndarray, tol: float):
     def minimize_on_set():
         # (z, lam) minimizing with the working set at its bounds, or None
         A, b = normals()
-        sol = _kkt_solve(p.H, A, -p.g, b)
-        if sol is None or not np.all(np.isfinite(sol[0])):
-            return None
-        return sol
+        return _kkt_solve(p.H, A, -p.g, b)
 
+    def sign_slack(lam):
+        return 1e-9 * (1.0 + float(np.max(np.abs(lam), initial=0.0)))
+
+    z, lam = np.zeros(p.n), np.zeros(len(rows))
+    status = None
     steps = 0
     while True:                      # dual-feasible hot start
         sol = minimize_on_set()
         if sol is None:
-            return None
+            status = "failed"
+            break
         z, lam = sol
         cand = np.where(eq[rows], np.inf, lam)
-        if float(np.min(cand, initial=np.inf)) >= 0.0:
+        if float(np.min(cand, initial=np.inf)) >= -sign_slack(lam):
             break
         j = int(np.argmin(cand))
         del rows[j], sides[j]
+        lam = np.delete(lam, j)
         steps += 1
 
-    while True:
+    while status is None:
         gz = G @ z
         viol_hi = gz - p.hi
         viol_lo = p.lo - gz
         viol = np.maximum(viol_hi, viol_lo)
-        sc_prim = 1.0 + max(float(np.max(np.abs(gz))),
-                            float(np.max(np.abs(np.clip(gz, p.lo, p.hi)))))
-        if float(np.max(viol)) <= tol * sc_prim:
+        r_prim = float(np.max(viol, initial=0.0))
+        sc_prim = 1.0 + max(float(np.max(np.abs(gz), initial=0.0)),
+                            float(np.max(np.abs(np.clip(gz, p.lo, p.hi)),
+                                         initial=0.0)))
+        if r_prim <= tol * sc_prim:
             break
+        if row_norm is None:
+            row_norm = np.maximum(np.linalg.norm(G, axis=1), 1e-300)
         q = int(np.argmax(viol / row_norm))
         if q in rows:                # a held row drifted: numerical breakdown
-            return None
+            status = "failed"
+            break
         s_q = 1.0 if viol_hi[q] >= viol_lo[q] else -1.0
         a_q = s_q * G[q]
         b_q = p.hi[q] if s_q > 0 else -p.lo[q]
+        flat = 10.0 * _DELTA * float(a_q @ a_q)
         while True:                  # raise lam_q until row q is met
             steps += 1
             if steps > max_steps:
-                return None
+                status = "failed"
+                break
             sol = _kkt_solve(p.H, normals()[0], -a_q, np.zeros(len(rows)))
             if sol is None:
-                return None
+                status = "failed"
+                break
             dz, dlam = sol
+            # The regularization leaves curvature of about delta on a row
+            # that depends on the working set; such a row is flat.
             curv = -float(a_q @ dz)
-            t_full = float(a_q @ z - b_q) / curv if curv > 0.0 else np.inf
+            t_full = float(a_q @ z - b_q) / curv if curv > flat else np.inf
             blocking = ~eq[rows] & (dlam < 0.0)
             ratios = np.where(blocking, np.maximum(lam, 0.0)
                               / np.where(blocking, -dlam, 1.0), np.inf)
             t_part = float(np.min(ratios, initial=np.inf))
             if not np.isfinite(min(t_full, t_part)):
-                return None          # no step meets row q: infeasible
+                status = "infeasible"  # no step meets row q
+                break
             if t_full <= t_part:
+                z = z + t_full * dz
+                lam = np.append(lam + t_full * dlam, t_full)
                 rows.append(q)
                 sides.append(s_q)
-                sol = minimize_on_set()
+                sol = minimize_on_set()   # re-solved to hold the set exactly
                 if sol is None:
-                    return None
+                    status = "failed"
+                    break
                 z, lam = sol
                 break
             j = int(np.argmin(ratios))
@@ -405,171 +261,20 @@ def _active_set_finish(p: QpProblem, y_scaled: np.ndarray, tol: float):
             lam = np.delete(lam + t_part * dlam, j)
             del rows[j], sides[j]
 
-    lam_max = float(np.max(np.abs(lam), initial=0.0))
-    if np.any(~eq[rows] & (lam < -1e-9 * (1.0 + lam_max))):
-        return None
     y = np.zeros(p.m)
     y[rows] = np.asarray(sides) * lam
-    r_prim, r_dual, sc_prim, sc_dual = _residual_scales(p, z, y)
-    if r_prim <= tol * sc_prim and r_dual <= tol * sc_dual:
-        return z, y, r_prim, r_dual, steps
-    return None
-
-
-def solve_qp(p: QpProblem, tol: float = 1e-8, max_iter: int = 4000,
-             cache: SolverCache | None = None, z0: np.ndarray | None = None,
-             y0: np.ndarray | None = None, track_merit: bool = False) -> QpSolution:
-    """Solve the QP.  Optional z0/y0 warm-start the splitting at that iterate,
-    and y0 also seeds the active-set guess of the hot start and the finish;
-    a start at the exact primal/dual optimum is a fixed point and returns
-    immediately.  `cache` may be shared by solves with identical (H, G)."""
-    n, m = p.n, p.m
-    if cache is None:
-        cache = build_cache(p.H, p.G, p.lo, p.hi)
-
-    if m == 0:
-        z = -cho_solve(cache.h_factor, p.g)
-        z += -cho_solve(cache.h_factor, p.H @ z + p.g)
-        r_prim, r_dual = _residuals(p, z, np.empty(0))
-        return QpSolution(z=z, objective=p.objective(z), status="optimal",
-                          iterations=0, primal_residual=r_prim,
-                          dual_residual=r_dual, y=np.empty(0))
-
-    d, e = cache.d, cache.e
-    cs = cache.cost_scale(p.g)
-    rho_scalar = _RHO
-    kkt_factor = cache.kkt_factor(cs, rho_scalar)
-    rho = rho_scalar * cache.rho
-    qs = cs * (d * p.g)
-    ls = e * p.lo
-    us = e * p.hi
-
-    # scaled iterates
-    x = np.zeros(n) if z0 is None else np.asarray(z0, dtype=float) / d
-    if y0 is None:
-        y = np.zeros(m)
+    hz, gty = p.H @ z, G.T @ y
+    r_dual = float(np.max(np.abs(hz + p.g + gty), initial=0.0))
+    if status is None:
+        sc_dual = 1.0 + max(float(np.max(np.abs(hz), initial=0.0)),
+                            float(np.max(np.abs(gty), initial=0.0)),
+                            float(np.max(np.abs(p.g), initial=0.0)))
+        signs_ok = not np.any(~eq[rows] & (lam < -sign_slack(lam)))
+        status = ("optimal" if signs_ok and r_dual <= tol * sc_dual
+                  else "failed")
     else:
-        y = cs * np.asarray(y0, dtype=float) / e
-    w = np.clip(cache.Gs @ x, ls, us)
-
-    merit = [] if track_merit else None
-    v_prev = None
-    y_check_prev = e * y / cs
-    best = None
-
-    def unscaled(x, y):
-        return d * x, e * y / cs
-
-    iterations = 0
-    status = "max_iterations"
-    Gs_T = cache.Gs.T
-
-    k = 0
-    while True:
-        if k % _CHECK_EVERY == 0 or k == max_iter:
-            z_un, y_un = unscaled(x, y)
-            r_prim, r_dual, sc_prim, sc_dual = _residual_scales(
-                p, z_un, y_un, w / e)
-            score = max(r_prim / sc_prim, r_dual / sc_dual)
-            if best is None or score < best[2]:
-                best = (z_un, y_un, score, r_prim, r_dual)
-            if r_prim <= tol * sc_prim and r_dual <= tol * sc_dual:
-                status = "optimal"
-                iterations = k
-                break
-            # Polish detects the active set from the splitting duals and
-            # solves its KKT system; at k == 0 a warm-started dual usually
-            # carries the correct active set already, so this turns a warm
-            # start into an active-set hot start.
-            if (score <= _POLISH_TRIGGER) or k == 0 or k == max_iter:
-                pol = _try_polish(p, y, cache, tol)
-                if pol is not None:
-                    z_un, y_un, r_prim, r_dual = pol
-                    status = "optimal"
-                    iterations = k
-                    break
-            # A wrong hot-start guess is repaired by the finite active-set
-            # finish rather than by splitting iterations, which crawl along
-            # an ill-conditioned H. Merit tracking observes the splitting
-            # iteration itself and so goes without it.
-            if k == 0 and merit is None:
-                fin = _active_set_finish(p, y, tol)
-                if fin is not None:
-                    z_un, y_un, r_prim, r_dual, iterations = fin
-                    status = "optimal"
-                    break
-            if k > 0:
-                dy = y_un - y_check_prev
-                nrm = float(np.max(np.abs(dy))) if m else 0.0
-                if nrm > 1e-14 and _is_infeasibility_certificate(p, dy, nrm):
-                    status = "infeasible"
-                    iterations = k
-                    z_un, y_un = best[0], best[1]
-                    r_prim, r_dual = best[3], best[4]
-                    break
-            y_check_prev = y_un
-            if k == max_iter:
-                iterations = k
-                z_un, y_un = best[0], best[1]
-                r_prim, r_dual = best[3], best[4]
-                break
-            # Step-size adaptation balancing the relative residuals; the
-            # dual scale of a penalty-heavy problem is unreachable at any
-            # fixed rho. Even so the iteration can stall on an
-            # ill-conditioned H, which is why the active-set finish runs
-            # first and this loop is only the fallback.
-            # Merit tracking promises a fixed-operator iteration and so
-            # pins the step size instead.
-            if merit is None:
-                ratio = np.sqrt((r_prim / sc_prim)
-                                / max(r_dual / sc_dual, 1e-16))
-                raw = float(np.clip(rho_scalar * ratio, 1e-6, 1e6))
-                # quantized to half-decades to bound the factorization cache
-                proposal = 10.0 ** (round(2.0 * np.log10(raw)) / 2.0)
-                if proposal > 5.0 * rho_scalar or proposal < 0.2 * rho_scalar:
-                    rho_scalar = proposal
-                    kkt_factor = cache.kkt_factor(cs, rho_scalar)
-                    rho = rho_scalar * cache.rho
-
-        rhs = _SIGMA * x - qs + Gs_T @ (rho * w - y)
-        xt = cho_solve(kkt_factor, rhs)
-        wt = cache.Gs @ xt
-        x = _ALPHA * xt + (1.0 - _ALPHA) * x
-        rel = _ALPHA * wt + (1.0 - _ALPHA) * w
-        v = rel + y / rho
-        w = np.clip(v, ls, us)
-        y = y + rho * (rel - w)
-        if merit is not None:
-            if v_prev is not None:
-                merit.append(float(np.linalg.norm(v - v_prev)))
-            v_prev = v.copy()
-        k += 1
-
-    return QpSolution(z=z_un, objective=p.objective(z_un), status=status,
-                      iterations=iterations, primal_residual=r_prim,
-                      dual_residual=r_dual, y=y_un,
-                      merit_history=np.array(merit) if merit is not None else None)
-
-
-def _is_infeasibility_certificate(p: QpProblem, dy: np.ndarray, nrm: float) -> bool:
-    dy = dy / nrm
-    if float(np.max(np.abs(p.G.T @ dy))) > _EPS_INFEAS:
-        return False
-    pos = np.maximum(dy, 0.0)
-    neg = np.minimum(dy, 0.0)
-    hi_inf = ~np.isfinite(p.hi)
-    lo_inf = ~np.isfinite(p.lo)
-    if np.any(pos[hi_inf] > _EPS_INFEAS) or np.any(-neg[lo_inf] > _EPS_INFEAS):
-        return False
-    support = float(np.sum(p.hi[~hi_inf] * pos[~hi_inf])
-                    + np.sum(p.lo[~lo_inf] * neg[~lo_inf]))
-    return support <= -_EPS_INFEAS
-
-
-def warm_start(p: QpProblem, z0: np.ndarray, y0: np.ndarray | None = None,
-               tol: float = 1e-8, max_iter: int = 4000,
-               cache: SolverCache | None = None,
-               track_merit: bool = False) -> QpSolution:
-    """solve_qp started from a previous iterate (primal z0, optionally dual y0)."""
-    return solve_qp(p, tol=tol, max_iter=max_iter, cache=cache, z0=z0, y0=y0,
-                    track_merit=track_merit)
+        gz = G @ z
+        r_prim = float(np.max(np.abs(gz - np.clip(gz, p.lo, p.hi)), initial=0.0))
+    return QpSolution(z=z, objective=p.objective(z), status=status,
+                      iterations=steps, primal_residual=r_prim,
+                      dual_residual=r_dual, y=y)

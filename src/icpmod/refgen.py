@@ -40,11 +40,6 @@ class ReferenceShape:
     def segment_span(self, delay_s: float) -> float:
         return delay_s + self.rise_s + self.up_s + self.fall_s + self.down_s
 
-    def pulse_span(self, delay_s: float) -> float:
-        """Time from trigger until the reference is back at baseline and the
-        gate reopens (at least total_length_s)."""
-        return max(self.segment_span(delay_s), self.total_length_s)
-
 
 @dataclass(frozen=True)
 class ReferenceParams:
@@ -144,29 +139,3 @@ def check_feasible(shape: ReferenceShape, params: ReferenceParams, period: int,
                        f"{period * dt:.4f} s period")
     return True, "ok"
 
-
-def gate_trigger(beat: bool, pulse_active: bool) -> bool:
-    """A beat starts a pulse only when no pulse is still running."""
-    return beat and not pulse_active
-
-
-class PulseGate:
-    """Tracks whether a pulse is running; time advances one sample per step."""
-
-    def __init__(self, shape: ReferenceShape, dt: float):
-        self.shape = shape
-        self.dt = dt
-        self._remaining = 0
-
-    @property
-    def pulse_active(self) -> bool:
-        return self._remaining > 0
-
-    def step(self, beat: bool, delay_s: float) -> bool:
-        """Advance one sample; returns True when a new pulse starts now."""
-        started = gate_trigger(beat, self.pulse_active)
-        if started:
-            self._remaining = int(np.ceil(self.shape.pulse_span(delay_s) / self.dt))
-        elif self._remaining > 0:
-            self._remaining -= 1
-        return started

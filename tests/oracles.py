@@ -63,3 +63,30 @@ def random_box_qp(rng, n):
     center = rng.normal(size=n)
     half = rng.uniform(0.05, 1.5, size=n)
     return H, g, center - half, center + half
+
+
+def weak_duality_gap(H, g, G, lo, hi, c, z, y):
+    """Relative weak-duality gap and relative box violation of a claimed
+    solution (z, y) of min 0.5 z'Hz + g'z + c s.t. lo <= Gz <= hi, H positive
+    definite, y negative on lower and positive on upper bounds.
+
+    The dual function is q(y) = min_w 0.5 w'Hw + g'w + c + y+'(Gw - hi)
+    - y-'(Gw - lo) with y+ = max(y, 0), y- = max(-y, 0). For feasible z,
+    f(z) - q(y) = 0.5 r'H^-1 r + y+'(hi - Gz) + y-'(Gz - lo) with
+    r = Hz + g + G'y, a sum of nonnegative terms, evaluated in that form so
+    nothing cancels. A multiplier on an infinite bound makes the gap
+    infinite. Returns (gap / (1 + |f(z)|), violation / (1 + max|Gz|)).
+    """
+    H, G = np.asarray(H, dtype=float), np.asarray(G, dtype=float)
+    z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
+    f = 0.5 * z @ H @ z + g @ z + c
+    r = H @ z + g + G.T @ y
+    gz = G @ z
+    gap = 0.5 * r @ np.linalg.solve(H, r)
+    for i in range(len(y)):
+        if y[i] > 0.0:
+            gap += y[i] * (hi[i] - gz[i]) if np.isfinite(hi[i]) else np.inf
+        elif y[i] < 0.0:
+            gap += -y[i] * (gz[i] - lo[i]) if np.isfinite(lo[i]) else np.inf
+    viol = max(float(np.max(np.maximum(gz - hi, lo - gz), initial=0.0)), 0.0)
+    return gap / (1.0 + abs(f)), viol / (1.0 + float(np.max(np.abs(gz), initial=0.0)))

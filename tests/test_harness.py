@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from icpmod import __version__
+from icpmod import __version__, mpc
 from icpmod.cli import main as cli_main
 from icpmod.harness import (
     CONTROLLERS,
@@ -27,10 +27,12 @@ from icpmod.harness import (
     save_config,
     trace_violations,
     write_csv,
+    _flat_trajectory,
+    _PeriodRunner,
 )
 from icpmod.model import Constraints
 from icpmod.refgen import ReferenceParams, ReferenceShape, build_reference
-from icpmod.simbench import PhantomBench
+from icpmod.simbench import PhantomBench, PhantomConfig
 
 
 def small_tracking_config(tmp_path, **overrides) -> RunConfig:
@@ -221,6 +223,27 @@ class TestClosedLoop:
         gap = rec.column("y_mm") - rec.column("pos_mm")
         assert np.allclose(gap, 0.2, atol=1e-12)
 
+    def test_pressure_guard_trip_keeps_memory_in_phase(self):
+        # A stiff phantom trips the pressure guard on a large pulse; the
+        # coasted rest of the period must leave the disturbance memory's
+        # cursor on the bench phase, where the previews read it.
+        cfg = RunConfig(scenario="modulation", bpm=60.0, phantom=PhantomConfig(
+            bpm=60.0, compliance_p0_mmhg=40.0))
+        model, _ = identify_motor_model(cfg)
+        bench = PhantomBench(cfg.motor, cfg.phantom, cfg.dt, seed=cfg.seed)
+        period = bench.clock.period
+        loop = ClosedLoop(model, cfg, bench, "mpc_offset_free",
+                          _flat_trajectory(cfg.shape, period, cfg.dt))
+        loop.run_periods(2)
+        runner = _PeriodRunner(loop, cfg, period)
+        outcome = runner((0.05, 1.2))
+        assert outcome.safety_events >= 1
+        assert len(outcome.pressure) < period
+        assert loop.k == 3 * period
+        assert bench.clock.phase == 0
+        assert loop.memory.cursor == bench.clock.phase
+        assert loop.memory.periods_completed == 3
+
     def test_trajectory_swap_must_keep_period(self):
         loop = make_loop(RunConfig(), "pid")
         loop.set_trajectory(loop.traj)
@@ -305,6 +328,28 @@ class TestTrackingScenario:
         cfg = RunConfig(scenario="modulation", outdir=str(tmp_path))
         with pytest.raises(HarnessError):
             run_tracking(cfg)
+
+    def test_qp_fallbacks_counted(self, tmp_path, monkeypatch):
+        # Force k non-optimal solves; each must show as one fallback step.
+        k = 3
+        calls = []
+        solve = mpc.solve_qp
+
+        def failing_solve(p, **kwargs):
+            sol = solve(p, **kwargs)
+            calls.append(None)
+            if 50 <= len(calls) < 50 + k:
+                sol = dataclasses.replace(sol, status="failed")
+            return sol
+
+        monkeypatch.setattr(mpc, "solve_qp", failing_solve)
+        cfg = small_tracking_config(tmp_path, periods=2, warmup_periods=0,
+                                    controllers=("mpc",), label="fallbacks")
+        res = run_tracking(cfg)
+        assert res.runs["mpc"].qp_fallbacks == k
+        lines = (res.run_dir / "summary.csv").read_text().splitlines()
+        assert lines[1].startswith("mpc,")
+        assert lines[1].split(",")[-1] == str(k)
 
 
 class TestModulationScenario:

@@ -110,15 +110,10 @@ class TestConstraints:
         assert c.position == (0.0, 2.6)
         assert c.velocity == (-100.0, 100.0)
         assert c.input == (-10.0, 10.0)
-        c.check_baseline(0.63)
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             Constraints(position=(1.0, 1.0))
-
-    def test_baseline_outside_bounds(self):
-        with pytest.raises(ValueError):
-            Constraints().check_baseline(3.0)
 
 
 class TestIdentifyLti:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icpmod.qpsolver import QpProblem, build_cache, solve_qp, warm_start
+from icpmod.qpsolver import QpProblem, solve_qp
 from oracles import brute_force_box_qp, random_box_qp
 
 
@@ -33,7 +33,8 @@ class TestBasics:
         assert sol.y[0] > 0.0  # active upper bound carries a positive multiplier
 
     def test_infeasible_rows_detected(self):
-        # z <= 1 and z >= 2 cannot both hold
+        # z <= 1 and z >= 2 cannot both hold: with z >= 2 in the working set
+        # no step can meet z <= 1
         p = QpProblem(H=[[2.0]], g=[0.0], G=[[1.0], [1.0]],
                       lo=[-np.inf, 2.0], hi=[1.0, np.inf])
         sol = solve_qp(p)
@@ -48,12 +49,13 @@ class TestBasics:
         np.testing.assert_allclose(sol.z, [0.5, 0.5], atol=1e-8)
 
     def test_max_iterations_status(self):
+        # tol = 0 passes no residual test, so the solve cannot end "optimal"
         rng = np.random.default_rng(0)
         H, g, lo, hi = random_box_qp(rng, 4)
         p = box_problem(H, g, lo, hi)
-        sol = solve_qp(p, tol=0.0, max_iter=3)
-        assert sol.status == "max_iterations"
-        assert sol.iterations == 3
+        sol = solve_qp(p, tol=0.0)
+        assert sol.status == "failed"
+        assert sol.iterations <= 4 * (p.n + p.m)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -63,17 +65,6 @@ class TestBasics:
             box_problem([[2.0]], [0.0], [1.0], [0.0])
         with pytest.raises(ValueError):
             box_problem([[2.0]], [0.0], [np.nan], [1.0])
-
-    def test_save_load_round_trip(self, tmp_path):
-        p = box_problem([[2.0]], [-4.0], [-np.inf], [1.0], c=4.0)
-        path = tmp_path / "qp.json"
-        p.save(path)
-        q = QpProblem.load(path)
-        np.testing.assert_array_equal(p.H, q.H)
-        np.testing.assert_array_equal(p.lo, q.lo)
-        np.testing.assert_array_equal(p.hi, q.hi)
-        assert q.c == p.c
-        np.testing.assert_allclose(solve_qp(q).z, solve_qp(p).z, atol=1e-12)
 
 
 class TestOracleAgreement:
@@ -114,21 +105,11 @@ class TestWarmStart:
         H, g, lo, hi = random_box_qp(rng, 5)
         p = box_problem(H, g, lo, hi)
         cold = solve_qp(p)
-        sol = warm_start(p, cold.z, cold.y)
+        # the duals of the optimum imply its active set: one KKT solve
+        sol = solve_qp(p, y0=cold.y)
         assert sol.status == "optimal"
-        assert sol.iterations <= 2
+        assert sol.iterations == 0
         np.testing.assert_allclose(sol.z, cold.z, atol=1e-8)
-
-    def test_cache_reuse_matches_fresh_solve(self):
-        rng = np.random.default_rng(11)
-        H, g, lo, hi = random_box_qp(rng, 5)
-        cache = build_cache(H, np.eye(5), lo, hi)
-        for _ in range(3):
-            g2 = rng.normal(size=5)
-            p = box_problem(H, g2, lo, hi)
-            a = solve_qp(p, cache=cache)
-            b = solve_qp(p)
-            np.testing.assert_allclose(a.z, b.z, atol=1e-7)
 
 
 class TestDeterminism:
@@ -154,17 +135,3 @@ class TestDeterminism:
                                      lo[perm], hi[perm]))
         np.testing.assert_allclose(sol_p.z, sol.z[perm], atol=1e-6)
 
-
-class TestMerit:
-    def test_displacement_monotone(self):
-        # The tracked merit is the splitting-iterate displacement, which is
-        # nonincreasing for an averaged fixed-point iteration.
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            H, g, lo, hi = random_box_qp(rng, 5)
-            sol = solve_qp(box_problem(H, g, lo, hi), tol=1e-10,
-                           track_merit=True)
-            hist = sol.merit_history
-            if hist is not None and hist.size > 2:
-                diffs = np.diff(hist)
-                assert np.all(diffs <= 1e-9 * (1.0 + hist[:-1]))

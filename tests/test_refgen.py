@@ -1,4 +1,4 @@
-"""Reference pulse sampling, feasibility checks, and trigger gating."""
+"""Reference pulse sampling and feasibility checks."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from icpmod.model import Constraints
 from icpmod.refgen import (
     THETA_BOUNDS,
-    PulseGate,
     ReferenceParams,
     ReferenceShape,
     build_reference,
     check_feasible,
-    gate_trigger,
 )
 
 DT = 0.01
@@ -113,25 +111,6 @@ class TestCheckFeasible:
 
 
 class TestGating:
-    def test_gate_truth_table(self):
-        assert gate_trigger(True, False)
-        assert not gate_trigger(True, True)
-        assert not gate_trigger(False, False)
-        assert not gate_trigger(False, True)
-
-    def test_pulse_gate_blocks_retrigger_until_done(self):
-        shape = ReferenceShape()
-        gate = PulseGate(shape, DT)
-        assert gate.step(beat=True, delay_s=0.0)   # starts
-        assert gate.pulse_active
-        # a beat arriving mid-pulse is ignored
-        assert not gate.step(beat=True, delay_s=0.0)
-        # run the pulse out: span 0.58 s -> 58 samples
-        for _ in range(60):
-            gate.step(beat=False, delay_s=0.0)
-        assert not gate.pulse_active
-        assert gate.step(beat=True, delay_s=0.0)
-
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.0, max_value=0.2),
            st.floats(min_value=0.2, max_value=1.25))
