@@ -11,8 +11,11 @@ so the surrogate learns to avoid the region.
 Costs are rewards: larger is better.  The amplitude term compares the
 per-period pressure swing against a target, the energy term penalizes
 deviation of the pressure from its unactuated mean (per-sample, so the
-weight is period-length independent); a raw-sum mode is kept for
-comparison against the uncentered formula.
+weight is period-length independent).
+
+The proposal grid and its feasibility mask depend only on the settings
+and the screen, so a search builds them once and every iteration
+reuses them.
 """
 
 from __future__ import annotations
@@ -21,13 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gp import (
-    DEFAULT_HYPERPARAMS,
-    BoDataset,
-    GaussianProcess,
-    GpHyperparams,
-    refit_hyperparams,
-)
+from .gp import DEFAULT_HYPERPARAMS, BoDataset, GaussianProcess, GpHyperparams
 from .refgen import THETA_BOUNDS
 
 __all__ = [
@@ -43,8 +40,6 @@ __all__ = [
     "evaluate",
     "run",
 ]
-
-_ENERGY_MODES = ("centered", "raw")
 
 # Uniform feasible draws give up after this many rejections; hitting it
 # means the feasible fraction of the box is essentially zero.
@@ -70,10 +65,8 @@ class BoConfig:
     p_amp_ref_mmhg: float = 2.0
     seed: int = 0
     grid_resolution: int = 64
-    energy_mode: str = "centered"
     max_settle_periods: int = 15
     penalty_cost: float = -1e6
-    refit_every: int = 0
     theta_bounds: np.ndarray = field(
         default_factory=lambda: np.array(THETA_BOUNDS, dtype=float))
     hyperparams: GpHyperparams = DEFAULT_HYPERPARAMS
@@ -104,12 +97,6 @@ class BoConfig:
             raise ValueError(
                 f"max_settle_periods must be at least 1, got "
                 f"{self.max_settle_periods}")
-        if self.energy_mode not in _ENERGY_MODES:
-            raise ValueError(
-                f"energy_mode must be one of {_ENERGY_MODES}, got "
-                f"{self.energy_mode!r}")
-        if self.refit_every < 0:
-            raise ValueError(f"refit_every must be >= 0, got {self.refit_every}")
 
 
 @dataclass(frozen=True)
@@ -177,12 +164,10 @@ class BoResult:
 
 
 def cost_of_period(pressure, p_amp_ref: float, lam: float, *,
-                   baseline_mean: float = 0.0,
-                   energy_mode: str = "centered") -> float:
-    """Reward for one period of pressure: amplitude match minus energy.
+                   baseline_mean: float = 0.0) -> float:
+    """Reward for one period of pressure: amplitude match minus energy,
 
-    centered mode: -(amp - ref)^2 - lam * mean((p - baseline_mean)^2)
-    raw mode:      -(amp - ref)^2 - lam * sum(p^2)
+        -(amp - ref)^2 - lam * mean((p - baseline_mean)^2)
     """
     p = np.asarray(pressure, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -190,13 +175,7 @@ def cost_of_period(pressure, p_amp_ref: float, lam: float, *,
     if not np.all(np.isfinite(p)):
         raise ValueError("pressure must be finite")
     amp = float(p.max() - p.min())
-    if energy_mode == "centered":
-        energy = float(np.mean((p - baseline_mean) ** 2))
-    elif energy_mode == "raw":
-        energy = float(np.sum(p**2))
-    else:
-        raise ValueError(
-            f"energy_mode must be one of {_ENERGY_MODES}, got {energy_mode!r}")
+    energy = float(np.mean((p - baseline_mean) ** 2))
     return -((amp - p_amp_ref) ** 2) - lam * energy
 
 
@@ -210,15 +189,22 @@ def theta_grid(cfg: BoConfig) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _surfaces(data: BoDataset, cfg: BoConfig, hp: GpHyperparams,
-              feasible) -> AcquisitionSurfaces:
+def _screen(cfg: BoConfig, feasible):
+    """The proposal grid and its feasibility mask, read-only so that every
+    iteration's surfaces can share them."""
     grid = theta_grid(cfg)
     if feasible is None:
         mask = np.ones(len(grid), dtype=bool)
     else:
         mask = np.fromiter((bool(feasible(t)) for t in grid),
                            dtype=bool, count=len(grid))
-    gp = GaussianProcess(hp, input_bounds=cfg.theta_bounds)
+    grid.setflags(write=False)
+    mask.setflags(write=False)
+    return grid, mask
+
+
+def _surfaces(data: BoDataset, cfg: BoConfig, grid, mask) -> AcquisitionSurfaces:
+    gp = GaussianProcess(cfg.hyperparams, input_bounds=cfg.theta_bounds)
     if len(data):
         gp.fit_dataset(data)
     mu, sigma = gp.predict(grid)
@@ -239,14 +225,14 @@ def _random_feasible(cfg: BoConfig, rng: np.random.Generator, feasible):
 
 
 def _pick(data: BoDataset, cfg: BoConfig, iteration: int,
-          rng: np.random.Generator, feasible, hp: GpHyperparams):
-    surfaces = _surfaces(data, cfg, hp, feasible)
+          rng: np.random.Generator, feasible, grid, mask):
+    surfaces = _surfaces(data, cfg, grid, mask)
     if iteration <= cfg.n_r:
         return _random_feasible(cfg, rng, feasible), "random", surfaces
     if not surfaces.feasible.any():
         raise ValueError("feasible set is empty on the acquisition grid")
     acq = np.where(surfaces.feasible, surfaces.acquisition, -np.inf)
-    return surfaces.grid[int(np.argmax(acq))], "acquisition", surfaces
+    return surfaces.grid[int(np.argmax(acq))].copy(), "acquisition", surfaces
 
 
 def propose(data: BoDataset, cfg: BoConfig, iteration: int,
@@ -258,7 +244,8 @@ def propose(data: BoDataset, cfg: BoConfig, iteration: int,
         raise ValueError(f"iteration must be in [1, {cfg.n_m}], got {iteration}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    theta, _, _ = _pick(data, cfg, iteration, rng, feasible, cfg.hyperparams)
+    theta, _, _ = _pick(data, cfg, iteration, rng, feasible,
+                        *_screen(cfg, feasible))
     return theta
 
 
@@ -279,8 +266,7 @@ def evaluate(theta, run_period, cfg: BoConfig, *,
 
     def period_stats(out: PeriodOutcome):
         cost = cost_of_period(out.pressure, cfg.p_amp_ref_mmhg, cfg.lam,
-                              baseline_mean=baseline_mean,
-                              energy_mode=cfg.energy_mode)
+                              baseline_mean=baseline_mean)
         p = np.asarray(out.pressure, dtype=float)
         return cost, float(p.mean()), float(p.max() - p.min())
 
@@ -337,15 +323,12 @@ def run(cfg: BoConfig, evaluate_fn, feasible=None) -> BoResult:
     which gets wrapped (handy for synthetic benchmarks).
     """
     rng = np.random.default_rng(cfg.seed)
+    grid, mask = _screen(cfg, feasible)
     data = BoDataset()
     iterations: list = []
-    hp = cfg.hyperparams
     best = -np.inf
     for n in range(1, cfg.n_m + 1):
-        if cfg.refit_every > 0 and len(data) >= 2 and n % cfg.refit_every == 0:
-            X, y = data.as_arrays()
-            hp = refit_hyperparams(X, y, hp, input_bounds=cfg.theta_bounds)
-        theta, source, surfaces = _pick(data, cfg, n, rng, feasible, hp)
+        theta, source, surfaces = _pick(data, cfg, n, rng, feasible, grid, mask)
         ev = evaluate_fn(theta)
         if not isinstance(ev, CostEvaluation):
             cost = float(ev)

@@ -84,7 +84,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _make_config(args)
-    except (HarnessError, ValueError, OSError) as exc:
+    except (HarnessError, ValueError, TypeError, OSError) as exc:
+        # TypeError: a config value of the wrong type, e.g. `seed: abc`
         return _fail("config", exc, _EXIT_CONFIG)
 
     try:

@@ -32,7 +32,6 @@ __all__ = [
     "BoDataset",
     "GpPosterior",
     "GaussianProcess",
-    "refit_hyperparams",
 ]
 
 #: Costs at or below this are treated as abort penalties: excluded from the
@@ -125,6 +124,10 @@ class GpPosterior:
 
 class GaussianProcess:
     """Exact GP regression with fixed hyperparameters.
+
+    The hyperparameters are never refit: the search's small evaluation
+    budgets rarely support fitting them, and fixed values keep runs
+    deterministic.
 
     ``fit`` factorizes the Gram matrix once; ``predict`` reuses the
     factorization and is safe to call concurrently.  Before any fit,
@@ -235,17 +238,6 @@ class GaussianProcess:
             return float(mu[0]), float(sd[0])
         return mu, sd
 
-    def log_marginal_likelihood(self) -> float:
-        """Of the fitted (standardized) targets under the current kernel."""
-        post = self.posterior_
-        if post is None:
-            raise ValueError("fit before asking for the likelihood")
-        c, _ = post.factor
-        logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-        n = post.z.size
-        return -0.5 * (float(post.z @ post.alpha) + logdet
-                       + n * np.log(2.0 * np.pi))
-
     # -- internals -------------------------------------------------------
 
     def _map_inputs(self, X: np.ndarray) -> np.ndarray:
@@ -272,37 +264,3 @@ class GaussianProcess:
         diff = (A[:, None, :] - B[None, :, :]) / ell
         return self.hyperparams.signal_var * np.exp(
             -0.5 * np.sum(diff**2, axis=-1))
-
-
-def refit_hyperparams(X, y, hp0: GpHyperparams = DEFAULT_HYPERPARAMS, *,
-                      input_bounds=None, standardize: bool = True
-                      ) -> GpHyperparams:
-    """Maximize the log marginal likelihood over log-scaled parameters.
-
-    Optional and off by default in the search loop: the small evaluation
-    budgets used here rarely support hyperparameter optimization, and
-    fixed parameters keep runs deterministic.  Parameters are kept
-    within [1e-3, 1e3] of 1 in log space.
-    """
-    from scipy.optimize import minimize
-
-    d = len(hp0.lengthscales)
-    x0 = np.log(np.array([*hp0.lengthscales, hp0.signal_var, hp0.noise_var]))
-    lo, hi = np.log(1e-3), np.log(1e3)
-
-    def nll(logp):
-        if np.any(logp < lo) or np.any(logp > hi):
-            return 1e12
-        hp = GpHyperparams(tuple(np.exp(logp[:d])),
-                           float(np.exp(logp[d])), float(np.exp(logp[d + 1])))
-        try:
-            gp = GaussianProcess(hp, input_bounds=input_bounds,
-                                 standardize=standardize).fit(X, y)
-        except LinAlgError:
-            return 1e12
-        return -gp.log_marginal_likelihood()
-
-    res = minimize(nll, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-3, "fatol": 1e-8, "maxiter": 500})
-    best = np.exp(res.x)
-    return GpHyperparams(tuple(best[:d]), float(best[d]), float(best[d + 1]))

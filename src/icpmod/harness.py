@@ -145,36 +145,54 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return _plain(dataclasses.asdict(cfg))
 
 
+def _fields(raw, cls, section: str = "") -> dict:
+    """`raw` as keyword arguments of the dataclass `cls`.  A value that is
+    not a mapping, or a key that is not a field of `cls`, is a HarnessError
+    naming the section or the key."""
+    where = f"config section {section!r}" if section else "config document"
+    if not isinstance(raw, dict):
+        raise HarnessError(f"{where} must be a mapping, got {type(raw).__name__}")
+    names = {f.name for f in dataclasses.fields(cls)}
+    unknown = [k for k in raw if k not in names]
+    if unknown:
+        key = f"{section}.{unknown[0]}" if section else str(unknown[0])
+        raise HarnessError(f"unknown config key {key!r}")
+    return dict(raw)
+
+
 def config_from_dict(raw: dict) -> RunConfig:
-    """Inverse of config_to_dict; missing keys fall back to defaults."""
-    d = dict(raw)
+    """Inverse of config_to_dict; missing keys fall back to defaults, and
+    unknown keys or non-mapping sections raise HarnessError."""
+    d = _fields(raw, RunConfig)
     kw = {}
     if "motor" in d:
-        m = dict(d.pop("motor"))
+        m = _fields(d.pop("motor"), MotorParams, "motor")
         if "travel_mm" in m:
             m["travel_mm"] = tuple(m["travel_mm"])
         kw["motor"] = MotorParams(**m)
     if "phantom" in d:
-        kw["phantom"] = PhantomConfig(**d.pop("phantom"))
+        kw["phantom"] = PhantomConfig(**_fields(d.pop("phantom"), PhantomConfig,
+                                                "phantom"))
     if "mpc" in d:
-        m = dict(d.pop("mpc"))
+        m = _fields(d.pop("mpc"), MpcConfig, "mpc")
         if "constraints" in m:
-            c = dict(m["constraints"])
+            c = _fields(m["constraints"], Constraints, "mpc.constraints")
             m["constraints"] = Constraints(**{k: tuple(v) for k, v in c.items()})
         kw["mpc"] = MpcConfig(**m)
     if "pid" in d:
-        p = dict(d.pop("pid"))
+        p = _fields(d.pop("pid"), PidConfig, "pid")
         if "u_bounds" in p:
             p["u_bounds"] = tuple(p["u_bounds"])
         kw["pid"] = PidConfig(**p)
     if "shape" in d:
-        kw["shape"] = ReferenceShape(**d.pop("shape"))
+        kw["shape"] = ReferenceShape(**_fields(d.pop("shape"), ReferenceShape,
+                                               "shape"))
     if "bo" in d:
-        b = dict(d.pop("bo"))
+        b = _fields(d.pop("bo"), BoConfig, "bo")
         if "theta_bounds" in b:
             b["theta_bounds"] = np.array(b["theta_bounds"], dtype=float)
         if "hyperparams" in b:
-            h = dict(b["hyperparams"])
+            h = _fields(b["hyperparams"], GpHyperparams, "bo.hyperparams")
             if "lengthscales" in h:
                 h["lengthscales"] = tuple(h["lengthscales"])
             b["hyperparams"] = GpHyperparams(**h)
@@ -564,8 +582,7 @@ def run_tracking(cfg: RunConfig) -> TrackingResult:
 
 
 def _flat_trajectory(shape: ReferenceShape, period: int, dt: float) -> ReferenceTrajectory:
-    return ReferenceTrajectory(samples=np.full(period, shape.baseline_mm),
-                               trigger_phase=0, dt=dt)
+    return ReferenceTrajectory(samples=np.full(period, shape.baseline_mm), dt=dt)
 
 
 class _PeriodRunner:
@@ -649,8 +666,6 @@ def _write_gp_surfaces(gp_dir: Path, result: BoResult) -> list:
     files = []
     for it in result.iterations:
         s = it.surfaces
-        if s is None:
-            continue
         name = f"iter_{it.n:02d}.csv"
         rows = np.column_stack([s.grid, s.mu, s.sigma, s.acquisition,
                                 s.feasible.astype(float)])

@@ -60,12 +60,6 @@ class LtiModel:
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
-    def observability_matrix(self) -> np.ndarray:
-        return np.vstack([self.C, self.C @ self.A])
-
-    def is_observable(self) -> bool:
-        return np.linalg.matrix_rank(self.observability_matrix()) == 2
-
     def to_dict(self) -> dict:
         return {
             "A": self.A.tolist(),
@@ -113,15 +107,6 @@ class AugmentedModel:
             raise ValueError("disturbance row of A_a must be [0, 0, 1]")
         if self.B_a[2] != 0.0:
             raise ValueError("input must not drive the disturbance state")
-
-    def observability_matrix(self) -> np.ndarray:
-        rows = [self.C_a]
-        for _ in range(2):
-            rows.append(rows[-1] @ self.A_a)
-        return np.vstack(rows)
-
-    def is_observable(self) -> bool:
-        return np.linalg.matrix_rank(self.observability_matrix()) == 3
 
 
 def augment(model: LtiModel) -> AugmentedModel:

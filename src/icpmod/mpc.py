@@ -39,7 +39,6 @@ __all__ = [
     "MpcConfig",
     "MpcStepResult",
     "MpcController",
-    "build_tracking_qp",
     "PidConfig",
     "PidController",
 ]
@@ -171,28 +170,6 @@ class _Condenser:
         return QpProblem(H=self.H, g=g, G=self.G, lo=lo, hi=hi, c=c)
 
 
-def build_tracking_qp(model: LtiModel, xhat0, d_prev, phase: int,
-                      ref_window, cfg: MpcConfig) -> QpProblem:
-    """Condense one tracking problem into a box-constrained QP.
-
-    `d_prev` is the previous-period disturbance buffer; predicted step i uses
-    its value at phase (phase + i) mod len(d_prev). The QP objective carries
-    the constant tracking-cost term, so its optimal value is the true cost.
-    """
-    xhat0 = np.asarray(xhat0, dtype=float).ravel()
-    if xhat0.shape != (2,) or not np.all(np.isfinite(xhat0)):
-        raise ValueError("xhat0 must be a finite 2-vector")
-    d_prev = np.asarray(d_prev, dtype=float).ravel()
-    if d_prev.size < 1:
-        raise ValueError("d_prev must be non-empty")
-    ref = np.asarray(ref_window, dtype=float).ravel()
-    if ref.shape != (cfg.horizon,):
-        raise ValueError(
-            f"ref_window must have {cfg.horizon} entries, got {ref.size}")
-    d = d_prev[(phase + np.arange(cfg.horizon)) % d_prev.size]
-    return _Condenser(model, cfg).assemble(xhat0, d, ref)
-
-
 @dataclass(frozen=True)
 class MpcStepResult:
     """Per-step solve outcome for logging."""
@@ -210,7 +187,9 @@ class MpcController:
 
     Holds the constant condensing matrices, hot-starts each solve from the
     active set of the previous solution shifted by one step, and applies the
-    decaying-hold fallback on any non-optimal solve.
+    decaying-hold fallback on any non-optimal solve. `events` holds one
+    entry per fallback; slack activity is reported per step in
+    `MpcStepResult.slack_max`, not as an event.
     """
 
     def __init__(self, model: LtiModel, cfg: MpcConfig | None = None):
@@ -267,10 +246,6 @@ class MpcController:
 
         self._y = sol.y
         slack_max = float(np.max(sol.z[N:], initial=0.0))
-        if slack_max > 1e-6:
-            self.events.append({"step": self._step_count,
-                                "kind": "state_slack_active",
-                                "slack_max": slack_max})
         lo, hi = self.cfg.constraints.input
         u = float(np.clip(sol.z[0], lo, hi))
         self._u_prev = u

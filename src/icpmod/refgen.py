@@ -28,10 +28,9 @@ class ReferenceShape:
     fall_s: float = 0.12
     down_s: float = 0.06
     undershoot_mm: float = 0.10
-    total_length_s: float = 0.58
 
     def __post_init__(self):
-        for name in ("rise_s", "up_s", "fall_s", "down_s", "total_length_s"):
+        for name in ("rise_s", "up_s", "fall_s", "down_s"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.undershoot_mm < 0.0:
@@ -47,9 +46,6 @@ class ReferenceParams:
 
     delay_s: float
     magnitude_mm: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.delay_s, self.magnitude_mm])
 
 
 #: Admissible theta box: delay in [0, 0.2] s, magnitude in [0.2, 1.25] mm.
@@ -71,10 +67,9 @@ def _breakpoints(shape: ReferenceShape, params: ReferenceParams):
 
 @dataclass(frozen=True)
 class ReferenceTrajectory:
-    """One period of reference samples plus the phase the pulse started at."""
+    """One period of reference samples, the pulse starting at phase 0."""
 
     samples: np.ndarray
-    trigger_phase: int
     dt: float
 
     def __post_init__(self):
@@ -91,7 +86,7 @@ class ReferenceTrajectory:
 
 
 def build_reference(shape: ReferenceShape, params: ReferenceParams, period: int,
-                    dt: float, trigger_phase: int = 0) -> ReferenceTrajectory:
+                    dt: float) -> ReferenceTrajectory:
     """Sample one period of the pulse at k * dt from the trigger."""
     period = int(period)
     if period < 2:
@@ -103,7 +98,7 @@ def build_reference(shape: ReferenceShape, params: ReferenceParams, period: int,
     times, values = _breakpoints(shape, params)
     t = np.arange(period) * dt
     samples = np.interp(t, times, values)  # constant (baseline) past the pulse
-    return ReferenceTrajectory(samples=samples, trigger_phase=trigger_phase, dt=dt)
+    return ReferenceTrajectory(samples=samples, dt=dt)
 
 
 def check_feasible(shape: ReferenceShape, params: ReferenceParams, period: int,

@@ -28,10 +28,6 @@ class TestCostOfPeriod:
     def test_exact_amplitude_match(self):
         assert cost_of_period([0.0, 2.0], 2.0, 0.0) == 0.0
 
-    def test_raw_energy_arithmetic(self):
-        J = cost_of_period([1.0, 1.0], 1.0, 0.1, energy_mode="raw")
-        assert J == pytest.approx(-1.2, abs=1e-15)
-
     def test_centered_energy_is_per_sample(self):
         # amp 2 == ref, energy mean((0, 2)**2) = 2, lam 0.02 -> -0.04
         J = cost_of_period([1.0, 3.0], 2.0, 0.02, baseline_mean=1.0)
@@ -48,8 +44,6 @@ class TestCostOfPeriod:
             cost_of_period([], 1.0, 0.1)
         with pytest.raises(ValueError):
             cost_of_period([1.0, np.nan], 1.0, 0.1)
-        with pytest.raises(ValueError):
-            cost_of_period([1.0, 2.0], 1.0, 0.1, energy_mode="weird")
 
 
 class TestThetaGrid:
@@ -280,11 +274,6 @@ class TestRun:
             err = float(np.linalg.norm(res.theta_star - theta_true))
             assert err <= 0.05 * BOX_DIAG, f"seed {seed}: {err:.4f}"
 
-    def test_refit_path_runs(self):
-        cfg = BoConfig(n_m=8, refit_every=4, seed=2)
-        res = run(cfg, quadratic([0.1, 0.8]))
-        assert len(res.dataset) == 8
-
     def test_surfaces_recorded_per_iteration(self):
         cfg = BoConfig(n_m=4, n_r=2, grid_resolution=12, seed=0)
         res = run(cfg, quadratic([0.1, 0.8]))
@@ -293,6 +282,34 @@ class TestRun:
             assert it.surfaces.mu.shape == (144,)
             assert it.surfaces.sigma.shape == (144,)
             assert it.surfaces.acquisition.shape == (144,)
+
+    def test_grid_screened_once_per_search(self):
+        # The screen sees each grid point once per search, plus each
+        # uniform draw, and every iteration's mask is the per-point screen.
+        cfg = BoConfig(n_m=8, n_r=3, grid_resolution=12, seed=0)
+        ok = lambda th: th[0] + 0.1 * th[1] < 0.15
+        calls = []
+
+        def counting(th):
+            calls.append(np.array(th))
+            return ok(th)
+
+        res = run(cfg, quadratic([0.1, 0.8]), feasible=counting)
+
+        rng = np.random.default_rng(cfg.seed)
+        draws = 0
+        for _ in range(cfg.n_r):
+            draws += 1
+            while not ok(rng.uniform(THETA_BOUNDS[:, 0], THETA_BOUNDS[:, 1])):
+                draws += 1
+        grid = theta_grid(cfg)
+        assert draws > cfg.n_r  # some draws were rejected
+        assert len(calls) == len(grid) + draws
+        np.testing.assert_array_equal(np.stack(calls[:len(grid)]), grid)
+        expect = np.array([ok(t) for t in grid])
+        assert 0 < expect.sum() < len(grid)
+        for it in res.iterations:
+            np.testing.assert_array_equal(it.surfaces.feasible, expect)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -303,7 +320,5 @@ class TestRun:
             BoConfig(beta=-0.1)
         with pytest.raises(ValueError):
             BoConfig(epsilon_mm=0.0)
-        with pytest.raises(ValueError):
-            BoConfig(energy_mode="other")
         with pytest.raises(ValueError):
             BoConfig(theta_bounds=[[0.2, 0.0]])

@@ -13,7 +13,6 @@ from icpmod.gp import (
     BoDataset,
     GaussianProcess,
     GpHyperparams,
-    refit_hyperparams,
 )
 from icpmod.refgen import THETA_BOUNDS
 from oracles import dense_gp_posterior
@@ -279,18 +278,3 @@ class TestDataset:
         mu_o, _ = dense_gp_posterior(X, y, X, RAW_HP.lengthscales,
                                      RAW_HP.signal_var, RAW_HP.noise_var)
         np.testing.assert_allclose(mu, mu_o, atol=1e-10, rtol=0)
-
-
-class TestRefit:
-    def test_refit_improves_likelihood(self):
-        rng = np.random.default_rng(21)
-        X = rng.uniform(size=(12, 2))
-        y = np.sin(3.0 * X[:, 0]) + 0.1 * rng.normal(size=12)
-        hp0 = GpHyperparams(lengthscales=(0.9, 0.9), signal_var=0.3,
-                            noise_var=0.2)
-        hp = refit_hyperparams(X, y, hp0, standardize=False)
-        before = GaussianProcess(hp0, standardize=False).fit(
-            X, y).log_marginal_likelihood()
-        after = GaussianProcess(hp, standardize=False).fit(
-            X, y).log_marginal_likelihood()
-        assert after >= before - 1e-9

@@ -419,6 +419,29 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error[config]")
 
+    @pytest.mark.parametrize("doc, message", [
+        ("bo: {energy_mode: raw}\n", "unknown config key 'bo.energy_mode'"),
+        ("bogus: 1\n", "unknown config key 'bogus'"),
+        ("bo: 5\n", "config section 'bo' must be a mapping"),
+    ])
+    def test_bad_config_document(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(doc)
+        rc = cli_main(["tracking", "--config", str(path), "--periods", "3",
+                       "--controller", "pid", "--outdir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]")
+        assert message in err
+
+    def test_config_value_of_wrong_type(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("seed: abc\n")
+        rc = cli_main(["tracking", "--config", str(path), "--periods", "3",
+                       "--controller", "pid", "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error[config]")
+
     def test_invalid_flag_value(self, capsys):
         rc = cli_main(["modulation", "--bpm", "-1"])
         assert rc == 2

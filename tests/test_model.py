@@ -53,14 +53,6 @@ class TestLtiModel:
         assert np.all(m.B_d == 0.0)
         assert m.C_d == 1.0
 
-    def test_observability_helper(self):
-        m = companion_model(1.9, -0.905, 2e-4)
-        assert m.is_observable()
-        # Output reads only the velocity state of a decoupled A: unobservable.
-        blind = LtiModel(A=np.diag([1.0, 0.5]), B=np.array([0.0, 1.0]),
-                         C=np.array([0.0, 1.0]), dt=DT)
-        assert not blind.is_observable()
-
     def test_io_round_trip(self, tmp_path):
         m = companion_model(1.9, -0.905, 2e-4)
         path = tmp_path / "model.json"
@@ -84,19 +76,6 @@ class TestAugment:
         np.testing.assert_array_equal(aug.B_a, np.r_[m.B, 0.0])
         np.testing.assert_array_equal(aug.C_a, np.r_[m.C, m.C_d])
         assert aug.dt == m.dt
-
-    def test_augmented_observable_for_output_disturbance(self):
-        # B_d = 0, C_d = 1: observable as long as A has no eigenvalue at
-        # exactly 1 (otherwise the disturbance is indistinguishable from the
-        # plant integrator mode).
-        aug = augment(companion_model(1.44, -0.45, 5e-3))
-        assert aug.is_observable()
-
-    def test_exact_integrator_breaks_augmented_observability(self):
-        # a1 + a2 = 1 puts an eigenvalue of A at 1; [v; -Cv] is then an
-        # output-nulling eigenvector of the augmented pair.
-        aug = augment(companion_model(1.94, -0.94, 2e-4))
-        assert not aug.is_observable()
 
     def test_rejects_malformed_disturbance_row(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from icpmod.mpc import (
     MpcController,
     PidConfig,
     PidController,
-    build_tracking_qp,
 )
 from icpmod.observer import (
     DisturbanceMemory,
@@ -47,7 +46,7 @@ class TestBuildTrackingQp:
         cfg = MpcConfig(rho=0.0)
         x0 = np.array([BASELINE, 0.0])
         ref = np.full(cfg.horizon, BASELINE)
-        p = build_tracking_qp(model, x0, np.zeros(100), 0, ref, cfg)
+        p = mpc._Condenser(model, cfg).assemble(x0, np.zeros(cfg.horizon), ref)
         sol = solve_qp(p)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
@@ -63,7 +62,7 @@ class TestBuildTrackingQp:
         x0 = np.array([0.9, 3.0])
         delta = 0.07
         ref = np.array([BASELINE, 1.1])
-        p = build_tracking_qp(model, x0, np.array([delta]), 17, ref, cfg)
+        p = mpc._Condenser(model, cfg).assemble(x0, np.full(2, delta), ref)
         sol = solve_qp(p)
         CA = model.C @ model.A
         CB = float(model.C @ model.B)
@@ -73,14 +72,15 @@ class TestBuildTrackingQp:
         assert sol.z[1] == pytest.approx(0.0, abs=1e-7)
 
     def test_constant_preview_shifts_predicted_outputs(self):
-        # With d_prev constant at delta, the optimizer drives Cx_i to
+        # With the preview constant at delta, the optimizer drives Cx_i to
         # r - C_d*delta wherever tracking is reachable (exact at rho = 0).
         model = nominal_model()
         cfg = MpcConfig(rho=0.0)
         delta = 0.1
         x0 = np.array([BASELINE - delta, 0.0])
         ref = np.full(cfg.horizon, BASELINE)
-        p = build_tracking_qp(model, x0, np.full(100, delta), 42, ref, cfg)
+        p = mpc._Condenser(model, cfg).assemble(x0, np.full(cfg.horizon, delta),
+                                              ref)
         sol = solve_qp(p)
         x = x0.copy()
         for i in range(1, cfg.horizon - 1):
@@ -88,29 +88,13 @@ class TestBuildTrackingQp:
             assert float(model.C @ x) + delta == pytest.approx(
                 BASELINE, abs=1e-5)
 
-    def test_preview_phase_indexing(self):
-        model = nominal_model()
-        cfg = MpcConfig(horizon=4)
-        d_prev = np.arange(10.0) / 100.0
-        ref = np.full(4, BASELINE)
-        x0 = np.array([BASELINE, 0.0])
-        p_a = build_tracking_qp(model, x0, d_prev, 8, ref, cfg)
-        # phase 8 on a 10-buffer wraps: phases 8, 9, 0, 1
-        d_manual = d_prev[[8, 9, 0, 1]]
-        p_b = build_tracking_qp(model, x0, d_manual, 0, ref, cfg)
-        assert np.allclose(p_a.g, p_b.g)
-        assert np.allclose(p_a.lo[np.isfinite(p_a.lo)],
-                           p_b.lo[np.isfinite(p_b.lo)])
-
     def test_rejects_bad_shapes(self):
-        model = nominal_model()
-        cfg = MpcConfig()
+        ctrl = MpcController(nominal_model())
+        N = ctrl.cfg.horizon
         with pytest.raises(ValueError, match="entries"):
-            build_tracking_qp(model, np.zeros(2), np.zeros(10), 0,
-                              np.zeros(3), cfg)
-        with pytest.raises(ValueError, match="2-vector"):
-            build_tracking_qp(model, np.zeros(3), np.zeros(10), 0,
-                              np.zeros(cfg.horizon), cfg)
+            ctrl.step(np.zeros(2), np.zeros(N), np.zeros(3))
+        with pytest.raises(ValueError, match="entries"):
+            ctrl.step(np.zeros(2), np.zeros(10), np.zeros(N))
 
 
 class TestMpcController:
@@ -181,7 +165,8 @@ class TestMpcController:
                         np.full(15, BASELINE))
         assert res.status == "optimal"
         assert res.slack_max > 1e-6
-        assert any(e["kind"] == "state_slack_active" for e in ctrl.events)
+        # slack activity is reported per step, not as an event
+        assert ctrl.events == []
 
 
 def run_offset_loop(offset_free: bool, d_true: float, steps: int,
