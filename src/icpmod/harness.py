@@ -126,6 +126,14 @@ class RunConfig:
             raise ValueError(
                 f"amp_target_factor must be positive, got {self.amp_target_factor}")
         self.observer_poles = tuple(float(p) for p in self.observer_poles)
+        # one pole per state of the disturbance-augmented model (position,
+        # velocity, disturbance), each inside the unit circle for stability
+        if len(self.observer_poles) != 3:
+            raise ValueError(f"observer_poles needs 3 poles, got "
+                             f"{len(self.observer_poles)}")
+        if not all(abs(p) < 1.0 for p in self.observer_poles):
+            raise ValueError(f"observer_poles must lie strictly inside the "
+                             f"unit circle, got {list(self.observer_poles)}")
 
 
 def _plain(value):
@@ -222,22 +230,38 @@ _NUM_FMT = "%.9g"
 
 
 def format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _NUM_FMT % float(value)
+    """One cell as write_csv writes it."""
+    return _cell_format(type(value)) % (value,)
+
+
+def _cell_format(t: type) -> str:
+    """The % conversion of a cell of type t: strings as they are, booleans
+    as 1/0, integers in full, anything else through float as %.9g."""
+    if issubclass(t, str):
+        return "%s"
+    if issubclass(t, (bool, np.bool_, int, np.integer)):
+        return "%d"
+    return _NUM_FMT
 
 
 def write_csv(path, header, rows) -> None:
     """Write rows with a fixed numeric format so identical data yields
-    identical bytes."""
+    identical bytes.
+
+    Each row is formatted by one % string, chosen once per sequence of cell
+    types; a numpy array is converted to Python scalars first.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
-    lines.extend(",".join(format_cell(v) for v in row) for row in rows)
+    formats = {}
+    for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
+        cells = tuple(row)
+        types = tuple(map(type, cells))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(map(_cell_format, types))
+        lines.append(fmt % cells)
     path.write_text("\n".join(lines) + "\n")
 
 

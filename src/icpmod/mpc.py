@@ -22,6 +22,14 @@ logging. If a solve ends with any status other than "optimal" regardless
 decayed by half, the least-surprise safe action for a balloon actuator, and
 records the event as "qp_<status>".
 
+The Hessian and the constraint matrix do not depend on the state, so each
+controller builds, checks and factors them once (`qpsolver.QpMatrices`); a
+step builds only the gradient, the bounds and the constant term. To the
+solver the input rows and the slack nonnegativity rows are variable bounds
+and the slacks are separable variables, so a step whose slacks stay at zero
+with no input or state bound active costs two triangular solves on the
+N x N input block.
+
 A PID controller with filtered derivative and back-calculation anti-windup is
 included as the comparison baseline.
 """
@@ -33,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Constraints, LtiModel
-from .qpsolver import QpProblem, solve_qp
+from .qpsolver import QpMatrices, QpProblem, solve_qp
 
 __all__ = [
     "MpcConfig",
@@ -69,7 +77,13 @@ class _Condenser:
 
     Predicted outputs stack as y = y_free(x0, d) + S_y u; analogous maps give
     predicted positions and velocities of x_1..x_{N-1}. All state dependence
-    lives in the offsets, so G and H are built once and shared.
+    lives in the offsets, so H and G are built, checked and factored once,
+    into `mats`, and every problem `assemble` returns shares them: it builds
+    only g, lo, hi and c.
+
+    Variables: the N inputs, then N-1 position and N-1 velocity slacks. Rows:
+    the N input bounds, a (upper, lower) pair per softened position and per
+    velocity, then the 2(N-1) slack nonnegativity rows.
     """
 
     def __init__(self, model: LtiModel, cfg: MpcConfig):
@@ -118,7 +132,6 @@ class _Condenser:
         H = np.zeros((self.n, self.n))
         H[:N, :N] = 2.0 * (S_y.T @ S_y + cfg.rho * np.eye(N))
         H[N:, N:] = 2.0 * _SLACK_QUAD * np.eye(2 * n_s)
-        self.H = H
 
         G = np.zeros((self.m, self.n))
         G[:N, :N] = np.eye(N)
@@ -132,7 +145,7 @@ class _Condenser:
                 G[r + 1, s_off + i] = 1.0  # x_i + s_i >= lo
                 r += 2
         G[r:, N:] = np.eye(2 * n_s)        # s >= 0
-        self.G = G
+        self.mats = QpMatrices(H, G)
 
         lo = np.full(self.m, -np.inf)
         hi = np.full(self.m, np.inf)
@@ -167,7 +180,7 @@ class _Condenser:
             hi[idx] = b_hi - free
             lo[idx + 1] = b_lo - free
             r += 2 * n_s
-        return QpProblem(H=self.H, g=g, G=self.G, lo=lo, hi=hi, c=c)
+        return QpProblem.on(self.mats, g, lo, hi, c)
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,35 @@ class TestCsvFormat:
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().splitlines()[0] == "k,x,tag"
 
+    def test_write_csv_matches_per_cell_join(self, tmp_path):
+        # oracle: each cell formatted on its own by the rules write_csv
+        # documents, then joined
+        def cell(value):
+            if isinstance(value, str):
+                return value
+            if isinstance(value, (bool, np.bool_)):
+                return "1" if value else "0"
+            if isinstance(value, (int, np.integer)):
+                return str(int(value))
+            return "%.9g" % float(value)
+
+        mixed = [("a", True, np.bool_(False), 7, np.int64(12345678901), 0.1,
+                  np.nan, np.inf, -np.inf, -0.0, 1e-300),
+                 ("b,%s", False, np.bool_(True), -3, np.int64(-5),
+                  np.float64(1.0) / 3.0, 2.5e9, 1e22, -1e-7, 0.0,
+                  np.float32(0.1))]
+        mixed.append(tuple(reversed(mixed[0])))
+        grid = np.column_stack([np.linspace(-1.0, 1.0, 9),
+                                np.arange(9.0) ** 11, np.full(9, np.nan),
+                                np.arange(9) % 2 == 0])
+        for i, rows in enumerate((mixed, grid, [])):
+            header = tuple(f"c{j}" for j in range(len(rows[0]) if len(rows) else 2))
+            path = tmp_path / f"t{i}.csv"
+            write_csv(path, header, rows)
+            expected = "\n".join([",".join(header)] + [
+                ",".join(cell(v) for v in row) for row in rows]) + "\n"
+            assert path.read_bytes() == expected.encode()
+
     def test_recorder_schema_and_columns(self):
         rec = TraceRecorder()
         row = {c: float(i) for i, c in enumerate(TRACE_COLUMNS)}
@@ -423,6 +452,9 @@ class TestCli:
         ("bo: {energy_mode: raw}\n", "unknown config key 'bo.energy_mode'"),
         ("bogus: 1\n", "unknown config key 'bogus'"),
         ("bo: 5\n", "config section 'bo' must be a mapping"),
+        ("observer_poles: [0.5, 0.5]\n", "observer_poles needs 3 poles, got 2"),
+        ("observer_poles: [0.5, 0.5, 1.2]\n",
+         "observer_poles must lie strictly inside the unit circle"),
     ])
     def test_bad_config_document(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.yaml"

@@ -22,7 +22,7 @@ from icpmod.observer import (
 from icpmod.qpsolver import solve_qp
 from icpmod.refgen import ReferenceParams, ReferenceShape, build_reference
 
-from oracles import weak_duality_gap
+from oracles import solve_on_active_set, weak_duality_gap
 from test_model import companion_model
 
 DT = 0.01
@@ -306,6 +306,94 @@ class TestSaturatingTransients:
                             float(np.max(np.abs(gty))),
                             float(np.max(np.abs(p.g))))
         assert float(np.max(np.abs(hz + p.g + gty))) <= tol * sc_dual
+
+
+class TestFixedFactorSolves:
+    """MPC QPs in each working-set shape the fixed-factor method meets. Each
+    result must carry a weak-duality certificate and, where the minimizer is
+    unique, match one dense KKT solve of its own working set."""
+
+    N = MpcConfig().horizon
+    # rows: N input bounds, then 4(N-1) softened state rows, then the
+    # 2(N-1) slack nonnegativity rows
+    SLACK_ROWS = np.arange(N + 4 * (N - 1), N + 6 * (N - 1))
+
+    def solve(self, x0, cfg=None, hot=False):
+        # `hot` solves cold first and hot-starts from that answer's duals
+        cond = mpc._Condenser(nominal_model(), cfg or MpcConfig())
+        p = cond.assemble(np.asarray(x0, dtype=float), np.zeros(self.N),
+                          np.full(self.N, BASELINE))
+        sol = solve_qp(p, y0=solve_qp(p).y if hot else None)
+        assert sol.status == "optimal"
+        gap, viol = weak_duality_gap(p.H, p.g, p.G, p.lo, p.hi, p.c,
+                                     sol.z, sol.y)
+        assert gap <= 1e-10 and viol <= 1e-10
+        return p, sol
+
+    def active(self, sol):
+        return set(np.flatnonzero(sol.y).tolist())
+
+    def check_dense(self, p, sol):
+        z = solve_on_active_set(p.H, p.g, p.G, p.lo, p.hi, sol.y)
+        np.testing.assert_allclose(sol.z, z, rtol=0.0, atol=1e-10)
+
+    def test_only_slack_rows_active(self):
+        p, sol = self.solve([BASELINE, 0.0], hot=True)
+        assert self.active(sol) == set(self.SLACK_ROWS.tolist())
+        assert sol.iterations == 0
+        assert np.all(sol.z[self.N:] == 0.0)
+        self.check_dense(p, sol)
+
+    def test_cold_start_adds_every_slack_row(self):
+        p, sol = self.solve([BASELINE, 0.0])
+        assert self.active(sol) == set(self.SLACK_ROWS.tolist())
+        assert sol.iterations == self.SLACK_ROWS.size
+        self.check_dense(p, sol)
+
+    def test_one_input_row_active(self):
+        # a 0.05 mm step saturates u_0 alone, as in the plain-MPC transients
+        p, sol = self.solve([BASELINE - 0.05, 0.0], hot=True)
+        assert self.active(sol) == {0, *self.SLACK_ROWS.tolist()}
+        assert sol.z[0] == 10.0 and sol.y[0] > 0.0
+        assert sol.iterations == 0
+        self.check_dense(p, sol)
+
+    def test_state_row_active_with_positive_slack(self):
+        # far outside travel: inputs saturate, softened position rows hold
+        # with positive slack, and those slacks' nonnegativity rows leave
+        p, sol = self.solve([3.4, 90.0])
+        state_rows = [i for i in self.active(sol)
+                      if self.N <= i < self.SLACK_ROWS[0]]
+        assert state_rows
+        assert float(np.max(sol.z[self.N:])) > 1e-6
+        self.check_dense(p, sol)
+        hot = solve_qp(p, y0=sol.y)
+        assert hot.iterations == 0
+        np.testing.assert_array_equal(hot.z, sol.z)
+
+    @pytest.mark.parametrize("x0", [[BASELINE, 0.0], [BASELINE - 0.05, 0.0],
+                                    [3.4, 90.0]])
+    def test_zero_input_weight(self, x0):
+        # rho = 0 leaves u_{N-1} without curvature: the factor is
+        # regularized, the certificate is against the singular H, and
+        # u_{N-1}, with no cost at all, stays at 0
+        p, sol = self.solve(x0, cfg=MpcConfig(rho=0.0))
+        assert sol.z[self.N - 1] == 0.0
+
+    def test_steps_share_h_and_g(self, monkeypatch):
+        problems = []
+
+        def recording_solve(p, **kwargs):
+            problems.append(p)
+            return solve_qp(p, **kwargs)
+
+        monkeypatch.setattr(mpc, "solve_qp", recording_solve)
+        ctrl = MpcController(nominal_model())
+        for x in ([BASELINE, 0.0], [BASELINE - 0.05, 0.5]):
+            ctrl.step(np.array(x), np.zeros(self.N), np.full(self.N, BASELINE))
+        a, b = problems
+        assert a.H is b.H and a.G is b.G
+        assert a.g is not b.g
 
 
 class TestPid:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icpmod.qpsolver import QpProblem, solve_qp
-from oracles import brute_force_box_qp, random_box_qp
+from oracles import (brute_force_box_qp, brute_force_qp, random_box_qp,
+                     weak_duality_gap)
 
 
 def box_problem(H, g, lo, hi, c=0.0):
@@ -74,11 +75,56 @@ class TestOracleAgreement:
             n = int(rng.integers(1, 7))
             H, g, lo, hi = random_box_qp(rng, n)
             z_ref, obj_ref = brute_force_box_qp(H, g, lo, hi)
-            sol = solve_qp(box_problem(H, g, lo, hi))
+            p = box_problem(H, g, lo, hi)
+            sol = solve_qp(p)
             assert sol.status == "optimal", f"trial {trial}"
             assert abs(sol.objective - obj_ref) < 1e-6, f"trial {trial}"
             np.testing.assert_allclose(sol.z, z_ref, atol=1e-6,
                                        err_msg=f"trial {trial}")
+            gap, viol = weak_duality_gap(H, g, p.G, lo, hi, 0.0, sol.z, sol.y)
+            assert gap <= 1e-10 and viol <= 1e-10, f"trial {trial}"
+
+    def test_mixed_rows_match_enumeration(self):
+        # Separable and coupled variables, bound rows of either sign (some
+        # on one variable twice), general rows, a repeated general row,
+        # equality and one-sided rows: every structure the method treats
+        # apart, against enumeration of the row activities.
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            n = int(rng.integers(2, 5))
+            sep = rng.random(n) < 0.5
+            A = rng.normal(size=(n, n))
+            H = np.where(np.outer(~sep, ~sep), A @ A.T + 0.1 * np.eye(n), 0.0)
+            H[sep, sep] = rng.uniform(0.1, 2.0, size=int(sep.sum()))
+            g = rng.normal(scale=2.0, size=n)
+            rows = []
+            for _ in range(int(rng.integers(1, 6))):
+                if rng.random() < 0.5:
+                    row = np.zeros(n)
+                    row[rng.integers(n)] = rng.choice([-1.0, 1.0])
+                else:
+                    row = rng.normal(size=n)
+                rows.append(row)
+            if rng.random() < 0.3:
+                rows.append(rows[-1].copy())
+            G = np.array(rows)
+            center = G @ rng.normal(size=n)
+            lo = center - rng.uniform(0.0, 1.0, size=len(rows))
+            hi = center + rng.uniform(0.0, 1.0, size=len(rows))
+            lo[rng.random(len(rows)) < 0.2] = -np.inf
+            hi[rng.random(len(rows)) < 0.2] = np.inf
+            if rng.random() < 0.2:
+                lo[0] = hi[0] = center[0]
+            z_ref, obj_ref = brute_force_qp(H, g, G, lo, hi)
+            p = QpProblem(H=H, g=g, G=G, lo=lo, hi=hi)
+            sol = solve_qp(p)
+            assert sol.status == "optimal", f"trial {trial}"
+            assert abs(sol.objective - obj_ref) <= 1e-8 * (1 + abs(obj_ref)), \
+                f"trial {trial}"
+            gap, viol = weak_duality_gap(H, g, G, lo, hi, 0.0, sol.z, sol.y)
+            assert gap <= 1e-10 and viol <= 1e-10, f"trial {trial}"
+            hot = solve_qp(p, y0=sol.y)
+            assert hot.iterations == 0, f"trial {trial}"
 
     def test_duality_gap(self):
         # At the reported (z, y): dual objective from the Lagrangian minimum
