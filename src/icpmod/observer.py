@@ -15,6 +15,10 @@ import numpy as np
 
 from .model import AugmentedModel
 
+# Bound on the characteristic-coefficient error of a placed gain, relative
+# to max(1, ||A - LC||_F): the recursion that checks the coefficients sums
+# terms of size ||A - LC||^k, so poles near -1 (|L| ~ 100) leave a rounding
+# error of ~1e-8 in the check alone.
 _POLE_TOL = 1e-8
 
 
@@ -90,11 +94,12 @@ def _place_siso(A: np.ndarray, C: np.ndarray, poles) -> np.ndarray:
     err_cc = coeff_error(L_cc)
 
     L, err = (L_ack, err_ack) if err_ack <= err_cc else (L_cc, err_cc)
-    if err > _POLE_TOL:
+    scale = max(1.0, float(np.linalg.norm(A - np.outer(L, C))))
+    if err > _POLE_TOL * scale:
         raise ObserverDesignError(
             f"pole placement achieved characteristic-coefficient error {err:.3e} "
-            f"> {_POLE_TOL:.0e}; the observability matrix is probably too "
-            "ill-conditioned")
+            f"> {_POLE_TOL:.0e} * max(1, ||A - LC||) = {_POLE_TOL * scale:.3e}; "
+            "the observability matrix is probably too ill-conditioned")
     return L
 
 

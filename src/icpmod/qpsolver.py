@@ -6,7 +6,7 @@
 H and G are the constant part of a family of problems (all QPs of one MPC
 controller): `QpMatrices` checks them once and takes the one factorization
 the method needs. A `QpProblem` adds the data that changes from solve to
-solve (g, lo, hi, c) and checks only that.
+solve (g, lo, hi, c) and checks only that, in one pass unless it fails.
 
 Structure read off H and G once:
 - a row of G that is +-1 times a unit vector e_j is a bound on z_j (a bound
@@ -33,11 +33,16 @@ With only separable bounds active (the MPC's slacks at 0) a solve is two
 triangular solves on the coupled block. A solve that holds Schur rows takes
 one refinement step against H, a solve on a regularized factor two.
 
-A receding-horizon caller whose active set did not change gets the exact
-optimum from the first solve, and a changed set is repaired by adding or
-dropping one row per step. The method terminates in finitely many steps in
-exact arithmetic and is a deterministic function of the problem data and
-y0, so repeated solves are bit-identical.
+The pieces of a working set that do not depend on the bounds (the fixed
+variables, the Schur rows and the Cholesky factor of S) are memoized on the
+QpMatrices, keyed by the ordered, signed set, for the _MEMO_SIZE sets used
+last; only the held values and the Schur rows' bounds are read from each
+problem. A receding-horizon caller whose active set did not change gets the
+exact optimum from the first solve without building anything but those
+values, and a changed set is repaired by adding or dropping one row per
+step. The method terminates in finitely many steps in exact arithmetic and
+is a deterministic function of the problem data and y0, so repeated solves
+are bit-identical, and a memo hit gives the bits a miss gives.
 
 `iterations` counts working-set changes after the first solve: rows the hot
 start drops for a wrong-signed multiplier, rows a partial step drops and
@@ -77,6 +82,9 @@ _DELTA = 1e-9       # regularization of a singular coupled block, relative
 # curvature of a row is of order 1/delta.
 _SINGULAR = 1e-10
 _DEPENDENT = 1e-12
+# Working sets each QpMatrices remembers: an MPC controller meets one or two
+# sets on almost every step, and a cold start passes through one per step.
+_MEMO_SIZE = 8
 
 
 def _cholesky(A: np.ndarray, floor: float):
@@ -141,18 +149,26 @@ class QpMatrices:
         H.flags.writeable = False
         G.flags.writeable = False
         self.H, self.G = H, G
-
-    @property
-    def n(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.G.shape[0]
+        self.n, self.m = n, m
+        self._sets: dict = {}           # working-set memo, least recent first
 
     def csolve(self, b: np.ndarray) -> np.ndarray:
         """(H_cc)^-1 b on the coupled block, b of shape (n_c,) or (n_c, k)."""
         return dpotrs(self.L, b, lower=1)[0] if self.cpl.size else b
+
+    def working_set(self, key, side: np.ndarray, order) -> "_SetData":
+        """The bound-independent pieces of the working set that `key` names
+        (see `_WorkingSet`), built from `side` and `order` on a miss. Keeps
+        the _MEMO_SIZE sets used last; a hit returns the very object a miss
+        built, so it gives the same bits."""
+        sets = self._sets
+        data = sets.pop(key, None)
+        if data is None:
+            data = _SetData(self, side, order)
+            if len(sets) >= _MEMO_SIZE:
+                del sets[next(iter(sets))]
+        sets[key] = data
+        return data
 
 
 class QpProblem:
@@ -183,12 +199,14 @@ class QpProblem:
             raise ValueError(f"g must have {mats.n} entries, got {self.g.shape}")
         if self.lo.shape != (mats.m,) or self.hi.shape != (mats.m,):
             raise ValueError("lo and hi must match the number of constraint rows")
+        # one pass on the common path: a NaN bound also fails lo <= hi
+        if np.isfinite(self.g).all() and (self.lo <= self.hi).all():
+            return
         if not np.isfinite(self.g).all():
             raise ValueError("g must be finite")
         if np.isnan(self.lo).any() or np.isnan(self.hi).any():
             raise ValueError("bounds must not be NaN")
-        if (self.lo > self.hi).any():
-            raise ValueError("need lo <= hi elementwise")
+        raise ValueError("need lo <= hi elementwise")
 
     @property
     def H(self) -> np.ndarray:
@@ -218,7 +236,7 @@ class QpSolution:
     y: np.ndarray
 
 
-def _guess_active(p: QpProblem, eq: np.ndarray,
+def _guess_active(p: QpProblem, eq: np.ndarray, any_eq: bool,
                   y0: np.ndarray | None) -> np.ndarray:
     """Working set implied by the signs of y0, as a side per row: +1 upper
     bound, -1 lower bound, 0 not in the set.
@@ -234,9 +252,12 @@ def _guess_active(p: QpProblem, eq: np.ndarray,
         # on inactive rows must not enter the active set. A row whose
         # selected bound is infinite cannot be active either.
         thresh = 1e-14 * float(np.abs(y0).max(initial=0.0))
-        low = (y0 < -thresh) & (p.lo > -np.inf) & ~eq
-        up = ((y0 > thresh) & (p.hi < np.inf)) | eq
-        side = up - low.astype(float)
+        low = (y0 < -thresh) & (p.lo > -np.inf)
+        up = (y0 > thresh) & (p.hi < np.inf)
+        if any_eq:
+            low &= ~eq
+            up |= eq
+        side = np.subtract(up, low, dtype=float)
     if p.mats.shared_bounds:
         var = p.mats.var
         rows = np.flatnonzero(side * (var >= 0))
@@ -246,54 +267,81 @@ def _guess_active(p: QpProblem, eq: np.ndarray,
     return side
 
 
+class _SetData:
+    """The pieces of a working set that the matrices and the ordered, signed
+    rows alone determine; `QpMatrices.working_set` memoizes them.
+
+    Bound rows on separable variables fix those variables (`elim` rows,
+    `evar` variables, `eunit` their signed units); the other rows are Schur
+    rows (`rows`, signed normals `N`, `R` the Cholesky factor of
+    S = N P N', None if they are linearly dependent). `pick_e` and `pick_b`
+    say where each held row's bound sits in [hi, -lo].
+    """
+
+    def __init__(self, M: QpMatrices, side: np.ndarray, order):
+        # Rows in the order they entered (index order if `order` is None),
+        # so a row that joins is factored after the rows it was tested
+        # against.
+        act = (np.flatnonzero(side) if order is None
+               else np.asarray(order, dtype=np.intp))
+        on_sep = M.sep_row[act]
+        lower = side[act] < 0.0
+        self.elim = elim = act[on_sep]
+        self.evar = M.var[elim]
+        self.eunit = side[elim] * M.unit[elim]
+        self.d_e = M.d[self.evar]
+        self.free = M.sep.copy()
+        self.free[self.evar] = False
+        self.pick_e = elim + M.m * lower[on_sep]
+        self.rows = rows = act[~on_sep]
+        self.pick_b = rows + M.m * lower[~on_sep]
+        self.R = None
+        self.ok = True
+        if rows.size:
+            self.N = side[rows][:, None] * M.G[rows]
+            N_c, N_f = self.N[:, M.cpl], self.N[:, self.free]
+            S = N_c @ M.csolve(N_c.T) + (N_f / M.d[self.free]) @ N_f.T
+            # a pivot of S is the curvature its row keeps on the rows before
+            # it, so this is the test a row must pass to join
+            self.R = _cholesky(S, _DEPENDENT)
+            self.ok = self.R is not None
+
+
 class _WorkingSet:
     """The rows held at a bound, and solves with them held.
 
     Each row i of the set is kept as the signed normal n_i = side_i G_i with
     bound b_i (hi_i for an upper row, -lo_i for a lower one), so it reads
     n_i'z = b_i, and its multiplier lam_i >= 0 unless it is an equality.
+
+    `key` names the ordered, signed set for the memo: the bytes of `side`
+    for a guessed set (its rows in index order), and (key of the set it
+    came from, row, side) after each change.
     """
 
-    def __init__(self, p: QpProblem, side: np.ndarray):
-        self.p, self.M = p, p.mats
+    def __init__(self, M: QpMatrices, side: np.ndarray, bounds: np.ndarray):
+        self.M = M
         self.side = side
-        # Rows in the order they entered, so a row that joins is factored
-        # after the rows it was tested against.
-        self.order = np.flatnonzero(side).tolist()
+        self.bounds = bounds           # the problem's [hi, -lo]
+        self.order = None              # index order until the first change
+        self.key = side.tobytes()
         self.ok = self.update()
 
     def update(self) -> bool:
-        """Re-derive the set's pieces from `side`; False if its Schur rows
-        are linearly dependent."""
-        M, p, side = self.M, self.p, self.side
-        act = np.array(self.order, dtype=int)
-        on_sep = M.sep_row[act]
-        elim = act[on_sep]
-        self.evar = M.var[elim]
-        self.eunit = side[elim] * M.unit[elim]
-        self.free = M.sep.copy()
-        self.free[self.evar] = False
+        """Look the set's pieces up and take its bounds from the problem;
+        False if its Schur rows are linearly dependent."""
+        M = self.M
+        s = self.s = M.working_set(self.key, self.side, self.order)
         self.vals = np.zeros(M.n)
-        self.vals[self.evar] = np.where(side[elim] > 0.0, p.hi[elim],
-                                        -p.lo[elim]) * self.eunit
-        self.elim = elim
-        self.rows = rows = act[~on_sep]
-        if not rows.size:
-            return True
-        s = side[rows]
-        self.N = s[:, None] * M.G[rows]
-        self.b = np.where(s > 0.0, p.hi[rows], -p.lo[rows])
-        N_c, N_f = self.N[:, M.cpl], self.N[:, self.free]
-        S = N_c @ M.csolve(N_c.T) + (N_f / M.d[self.free]) @ N_f.T
-        # a pivot of S is the curvature its row keeps on the rows before it,
-        # so this is the test a row must pass to join
-        self.R = _cholesky(S, _DEPENDENT)
-        return self.R is not None
+        self.vals[s.evar] = self.bounds[s.pick_e] * s.eunit
+        if s.rows.size:
+            self.b = self.bounds[s.pick_b]
+        return s.ok
 
     def pinv(self, v: np.ndarray) -> np.ndarray:
         """P v: the inverse Hessian of the free variables applied to v, zero
         on the variables the set fixes."""
-        out = np.where(self.free, v / self.M.d, 0.0)
+        out = np.where(self.s.free, v / self.M.d, 0.0)
         out[self.M.cpl] = self.M.csolve(v[self.M.cpl])
         return out
 
@@ -304,60 +352,67 @@ class _WorkingSet:
         the direction in which z and lam move as the multiplier of a row
         with normal gv grows. A full step solves z again on the new set, so
         a direction's float error does not reach the answer."""
-        M = self.M
+        M, s = self.M, self.s
         z = (self.vals if held else 0.0) - self.pinv(gv)
         lam = np.zeros(M.m)
-        grad = gv.copy()               # gv + N' nu
+        grad = gv                      # gv + N' nu
         # Refinement against the unregularized H, the fixed variables held:
         # two steps on a regularized factor, and one whenever Schur rows are
         # held, because S = N P N' is as ill-conditioned as H_cc and an
         # unrefined solve leaves held rows off their bounds by ~1e-9 in the
         # MPC's saturated transients.
         refine = (2 if M.regularized else 1) if held else 0
-        if self.rows.size:
-            N, R = self.N, self.R
+        if s.rows.size:
+            N, R = s.N, s.R
             b = self.b if held else 0.0
             nu = dpotrs(R, N @ z - b, lower=1)[0]
             z = z - self.pinv(N.T @ nu)
             for _ in range(refine):
                 r = M.H @ z + gv + N.T @ nu
-                r[self.evar] = 0.0
+                r[s.evar] = 0.0
                 corr = self.pinv(r)
                 dnu = dpotrs(R, N @ (z - corr) - b, lower=1)[0]
                 z = z - corr - self.pinv(N.T @ dnu)
                 nu = nu + dnu
-            lam[self.rows] = nu
-            grad += N.T @ nu
+            lam[s.rows] = nu
+            grad = gv + N.T @ nu
         else:
             for _ in range(refine if M.regularized else 0):
                 r = M.H @ z + gv
-                r[self.evar] = 0.0
+                r[s.evar] = 0.0
                 z = z - self.pinv(r)
         # a fixed separable variable's bound row balances its gradient
-        j = self.evar
-        lam[self.elim] = -(M.d[j] * z[j] + grad[j]) * self.eunit
+        j = s.evar
+        lam[s.elim] = -(s.d_e * z[j] + grad[j]) * s.eunit
         return z, lam
 
     def curvature(self, n: np.ndarray):
         """(curvature of a row with normal n on the set's rows, on the free
         variables alone). The first is the pivot the row would add to the
-        Cholesky factor of S, so it is the quantity `update` tests."""
+        Cholesky factor of S, so it is the quantity `_SetData` tests."""
         pn = self.pinv(n)
         free = float(n @ pn)
-        if not self.rows.size:
+        if not self.s.rows.size:
             return free, free
-        w = dtrtrs(self.R, self.N @ pn, lower=1)[0]
+        w = dtrtrs(self.s.R, self.s.N @ pn, lower=1)[0]
         return free - float(w @ w), free
 
     def change(self, i: int, side: float) -> bool:
         """Add row i to the set on `side`, or drop it (side 0)."""
+        if self.order is None:
+            self.order = np.flatnonzero(self.side).tolist()
         self.side[i] = side
         if side:
             self.order.append(i)
         else:
             self.order.remove(i)
+        self.key = (self.key, i, side)
         self.ok = self.update()
         return self.ok
+
+
+def _sign_slack(lam: np.ndarray) -> float:
+    return 1e-9 * (1.0 + float(np.abs(lam).max(initial=0.0)))
 
 
 def solve_qp(p: QpProblem, tol: float = 1e-8,
@@ -377,25 +432,29 @@ def solve_qp(p: QpProblem, tol: float = 1e-8,
     (that row leaves). A row q that depends on the set's rows has no
     curvature on it; it can only be met after a row leaves.
     """
-    M, G = p.mats, p.G
+    M, G = p.mats, p.mats.G
     eq = p.lo == p.hi
-    ws = _WorkingSet(p, _guess_active(p, eq, y0))
+    any_eq = bool(eq.any())
+    bounds = np.concatenate((p.hi, -p.lo))
+    ws = _WorkingSet(M, _guess_active(p, eq, any_eq, y0), bounds)
     if not ws.ok:                    # a dependent guess: start from the equalities
-        ws = _WorkingSet(p, _guess_active(p, eq, None))
-    max_steps = 4 * (p.n + p.m)
+        ws = _WorkingSet(M, _guess_active(p, eq, any_eq, None), bounds)
+    max_steps = 4 * (M.n + M.m)
 
-    def sign_slack(lam):
-        return 1e-9 * (1.0 + float(np.abs(lam).max(initial=0.0)))
+    def ineq(lam):
+        # lam is zero off the set, so a sign test over all inequality rows
+        # is a test over the set's
+        return np.where(eq, np.inf, lam) if any_eq else lam
 
-    # lam is zero off the set, so a sign test over all inequality rows is a
-    # test over the set's
-    z, lam = np.zeros(p.n), np.zeros(p.m)
+    z, lam = np.zeros(M.n), np.zeros(M.m)
     status = None if ws.ok else "failed"
     steps = 0
+    slack = None                     # the sign slack of the current lam
     while status is None:            # dual-feasible hot start
         z, lam = ws.solve(p.g)
-        cand = np.where(eq, np.inf, lam)
-        if float(cand.min(initial=np.inf)) >= -sign_slack(lam):
+        slack = _sign_slack(lam)
+        cand = ineq(lam)
+        if float(cand.min(initial=np.inf)) >= -slack:
             break
         steps += 1
         if not ws.change(int(np.argmin(cand)), 0.0):
@@ -403,9 +462,7 @@ def solve_qp(p: QpProblem, tol: float = 1e-8,
 
     while status is None:
         gz = G @ z
-        viol_hi = gz - p.hi
-        viol_lo = p.lo - gz
-        viol = np.maximum(viol_hi, viol_lo)
+        viol = np.maximum(gz - p.hi, p.lo - gz)
         r_prim = float(viol.max(initial=0.0))
         if r_prim <= tol or r_prim <= tol * (1.0 + max(
                 float(np.abs(gz).max(initial=0.0)),
@@ -415,9 +472,10 @@ def solve_qp(p: QpProblem, tol: float = 1e-8,
         if ws.side[q]:               # a held row drifted: numerical breakdown
             status = "failed"
             break
-        s_q = 1.0 if viol_hi[q] >= viol_lo[q] else -1.0
+        s_q = 1.0 if gz[q] - p.hi[q] >= p.lo[q] - gz[q] else -1.0
         n_q = s_q * G[q]
         b_q = p.hi[q] if s_q > 0 else -p.lo[q]
+        slack = None
         while True:                  # raise lam_q until row q is met
             steps += 1
             if steps > max_steps:
@@ -449,18 +507,20 @@ def solve_qp(p: QpProblem, tol: float = 1e-8,
                 break
 
     y = ws.side * lam
-    hz, gty = p.H @ z, G.T @ y
+    hz, gty = M.H @ z, G.T @ y
     r_dual = float(np.abs(hz + p.g + gty).max(initial=0.0))
     if status is None:
         dual_ok = r_dual <= tol or r_dual <= tol * (1.0 + max(
             float(np.abs(hz).max(initial=0.0)),
             float(np.abs(gty).max(initial=0.0)),
             float(np.abs(p.g).max(initial=0.0))))
-        signs_ok = not np.any((lam < -sign_slack(lam)) & ~eq)
+        if slack is None:
+            slack = _sign_slack(lam)
+        signs_ok = float(ineq(lam).min(initial=np.inf)) >= -slack
         status = "optimal" if signs_ok and dual_ok else "failed"
     else:
         gz = G @ z
         r_prim = float(np.abs(gz - np.clip(gz, p.lo, p.hi)).max(initial=0.0))
-    return QpSolution(z=z, objective=float(0.5 * z @ hz + p.g @ z + p.c),
+    return QpSolution(z=z, objective=0.5 * float(z @ hz) + float(p.g @ z) + p.c,
                       status=status, iterations=steps, primal_residual=r_prim,
                       dual_residual=r_dual, y=y)

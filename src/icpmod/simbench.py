@@ -12,6 +12,7 @@ transport lag.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -68,7 +69,7 @@ def truth_step(state: TruthPlantState, u: float, dt: float,
                - params.viscous_per_s * vel
                - params.coulomb_mm_s2 * fric
                - params.load_bias_mm_s2)
-        fric = fric + h * (np.tanh(vel / params.stribeck_vel_mm_s) - fric) / params.friction_tau_s
+        fric = fric + h * (math.tanh(vel / params.stribeck_vel_mm_s) - fric) / params.friction_tau_s
         vel = vel + h * acc
         pos = pos + h * vel
         if pos < lo:
@@ -157,12 +158,12 @@ def balloon_volume(position_mm: float, config: PhantomConfig) -> float:
     volume."""
     x = max(0.0, position_mm - config.dead_travel_mm) * config.volume_gain_ml_per_mm
     vmax = config.saturation_volume_ml
-    return vmax * np.tanh(x / vmax)
+    return vmax * math.tanh(x / vmax)
 
 
 def compliance_dp(volume_ml: float, config: PhantomConfig) -> float:
     """Monoexponential (Marmarou-style) pressure rise for an added volume."""
-    return config.compliance_p0_mmhg * np.expm1(config.elastance_per_ml * volume_ml)
+    return config.compliance_p0_mmhg * math.expm1(config.elastance_per_ml * volume_ml)
 
 
 def phantom_pressure(position_mm: float, phase: int, period: int,

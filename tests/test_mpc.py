@@ -6,7 +6,7 @@ import pytest
 
 from icpmod import mpc
 from icpmod.metrics import nrmse
-from icpmod.model import Constraints, augment
+from icpmod.model import Constraints, LtiModel, augment
 from icpmod.mpc import (
     MpcConfig,
     MpcController,
@@ -19,10 +19,10 @@ from icpmod.observer import (
     observer_step,
     place_observer_poles,
 )
-from icpmod.qpsolver import solve_qp
+from icpmod.qpsolver import QpMatrices, QpProblem, solve_qp
 from icpmod.refgen import ReferenceParams, ReferenceShape, build_reference
 
-from oracles import solve_on_active_set, weak_duality_gap
+from oracles import brute_force_qp, solve_on_active_set, weak_duality_gap
 from test_model import companion_model
 
 DT = 0.01
@@ -95,6 +95,146 @@ class TestBuildTrackingQp:
             ctrl.step(np.zeros(2), np.zeros(N), np.zeros(3))
         with pytest.raises(ValueError, match="entries"):
             ctrl.step(np.zeros(2), np.zeros(10), np.zeros(N))
+
+
+def rollout_qp_data(model, cfg, x0, d, ref):
+    """g, lo, hi, c of the condensed QP by direct simulation: err is the
+    output error of the free response (u = 0), g_j = 2 sum_i err_i y_i^(j)
+    with y^(j) the response to a unit input u_j, and each softened state
+    row's bound is the bound minus the free response."""
+    N, n_s = cfg.horizon, cfg.horizon - 1
+
+    def outputs_states(x, u, dist):
+        ys, xs = [], []
+        for i in range(N):
+            ys.append(float(model.C @ x) + model.C_d * dist[i])
+            xs.append(x)
+            x = model.A @ x + model.B * u[i] + model.B_d * dist[i]
+        return np.array(ys), np.array(xs)
+
+    y_free, x_free = outputs_states(np.asarray(x0, float), np.zeros(N), d)
+    err = y_free - ref
+    g = np.full(N + 2 * n_s, cfg.slack_weight)
+    for j in range(N):
+        y_j, _ = outputs_states(np.zeros(2), np.eye(N)[j], np.zeros(N))
+        g[j] = 2.0 * float(err @ y_j)
+    m = N + 6 * n_s
+    lo, hi = np.full(m, -np.inf), np.full(m, np.inf)
+    lo[:N], hi[:N] = cfg.constraints.input
+    r = N
+    for k, (b_lo, b_hi) in enumerate((cfg.constraints.position,
+                                      cfg.constraints.velocity)):
+        for i in range(1, N):
+            hi[r] = b_hi - x_free[i, k]
+            lo[r + 1] = b_lo - x_free[i, k]
+            r += 2
+    lo[r:] = 0.0
+    return g, lo, hi, float(err @ err)
+
+
+class TestAffineCondenser:
+    @pytest.mark.parametrize("horizon", [1, 2, 15])
+    @pytest.mark.parametrize("rho", [0.0, 1e-6])
+    @pytest.mark.parametrize("b_d", [(0.0, 0.0), (2e-3, 0.3)])
+    def test_matches_rollout(self, horizon, rho, b_d):
+        base = nominal_model()
+        model = LtiModel(A=base.A, B=base.B, C=base.C, dt=DT, B_d=b_d,
+                         C_d=0.5 if any(b_d) else 1.0)
+        cfg = MpcConfig(horizon=horizon, rho=rho)
+        cond = mpc._Condenser(model, cfg)
+        rng = np.random.default_rng(horizon)
+        for _ in range(5):
+            x0 = np.array([rng.uniform(0.0, 2.6), rng.uniform(-50.0, 50.0)])
+            d = rng.uniform(-0.3, 0.3, horizon)
+            ref = rng.uniform(0.3, 1.5, horizon)
+            p = cond.assemble(x0, d, ref)
+            for got, want in zip((p.g, p.lo, p.hi, p.c),
+                                 rollout_qp_data(model, cfg, x0, d, ref)):
+                want = np.asarray(want)
+                finite = np.isfinite(want)
+                np.testing.assert_array_equal(np.asarray(got)[~finite],
+                                              want[~finite])
+                np.testing.assert_allclose(
+                    np.asarray(got)[finite], want[finite], rtol=1e-12,
+                    atol=1e-12 * float(np.max(np.abs(want[finite]),
+                                              initial=1.0)))
+
+    @pytest.mark.parametrize("xhat", [[np.nan, 0.0], [BASELINE, np.inf]])
+    def test_non_finite_state_rejected(self, xhat):
+        ctrl = MpcController(nominal_model())
+        N = ctrl.cfg.horizon
+        with pytest.raises(ValueError, match="^g must be finite$"):
+            ctrl.step(np.array(xhat), np.zeros(N), np.full(N, BASELINE))
+
+
+class TestWorkingSetMemo:
+    """A controller's QpMatrices remembers the pieces of the working sets it
+    met; a solve that finds its set there must give the bits a solve on
+    fresh matrices gives."""
+
+    def captured(self, monkeypatch):
+        # a plain MPC on a plant with 30 % less gain than its model: u_0
+        # hits the rail in the pulse transients, so solves add rows; then
+        # random stressed states that hold state rows
+        problems = []
+
+        def recording_solve(p, **kwargs):
+            sol = solve_qp(p, **kwargs)
+            problems.append((p, kwargs["y0"], sol))
+            return sol
+
+        monkeypatch.setattr(mpc, "solve_qp", recording_solve)
+        model = nominal_model()
+        plant = companion_model(1.44, -0.45, 3.5e-3, DT)
+        ctrl = MpcController(model)
+        traj = build_reference(ReferenceShape(), ReferenceParams(0.05, 0.5),
+                               period=100, dt=DT)
+        x = np.array([BASELINE, 0.0])
+        for k in range(200):
+            res = ctrl.step(x, np.zeros(15), traj.window(k % 100, 15))
+            x = plant.A @ x + plant.B * res.u
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            xhat = np.array([rng.uniform(-1, 3.5), rng.uniform(-80, 80)])
+            ctrl.step(xhat, rng.uniform(-0.3, 0.3, 15),
+                      rng.uniform(0.0, 2.6, 15))
+        return problems
+
+    def test_memo_hit_matches_fresh_matrices(self, monkeypatch):
+        problems = self.captured(monkeypatch)
+        assert len({id(p.mats) for p, _, _ in problems}) == 1
+        iters = [sol.iterations for _, _, sol in problems]
+        assert any(i == 0 for i in iters) and any(0 < i < 28 for i in iters)
+        assert any(sol.y[0] != 0.0 for _, _, sol in problems)   # add step
+        for p, y0, sol in problems:
+            fresh = QpProblem.on(QpMatrices(p.H, p.G), p.g, p.lo, p.hi, p.c)
+            ref = solve_qp(fresh, y0=y0)
+            assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+            np.testing.assert_array_equal(sol.z, ref.z)
+            np.testing.assert_array_equal(sol.y, ref.y)
+
+    def test_same_set_different_bounds(self):
+        # z2 is separable, so its bound row fixes it (a value taken from
+        # the bounds); z0 + z1 <= hi enters as a Schur row (a bound b). All
+        # problems hold both rows: the cold start reaches the set by adding
+        # rows, and each hot start after it guesses the set the second
+        # solve put in the memo.
+        H = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        G = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        g = np.array([-3.0, -3.0, 1.0])
+        mats = QpMatrices(H, G)
+        y0 = None
+        for lo0, hi1 in ((0.0, 1.0), (0.0, 1.0), (0.5, 0.5), (0.0, 1.0)):
+            lo, hi = np.array([lo0, -np.inf]), np.array([np.inf, hi1])
+            p = QpProblem.on(mats, g, lo, hi)
+            sol = solve_qp(p, y0=y0)
+            assert sol.status == "optimal"
+            z_ref, _ = brute_force_qp(H, g, G, lo, hi)
+            np.testing.assert_allclose(sol.z, z_ref, rtol=0.0, atol=1e-12)
+            assert sol.z[2] == lo0 and sol.z[0] + sol.z[1] == pytest.approx(hi1)
+            assert sol.y[0] < 0.0 < sol.y[1]
+            y0 = sol.y
+        assert sol.iterations == 0
 
 
 class TestMpcController:

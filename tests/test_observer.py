@@ -3,7 +3,7 @@ disturbance-memory semantics."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icpmod.model import augment
@@ -63,16 +63,31 @@ class TestPolePlacement:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
+    # poles near -1 (555: -0.878, -0.853, -0.512) need |L| ~ 100, where the
+    # coefficient check's own rounding reaches 1e-8; an absolute bound of
+    # 1e-8 refused these five
+    @example(555)
+    @example(1286)
+    @example(3252)
+    @example(8111)
+    @example(9656)
     def test_random_stable_poles_oracle(self, seed):
-        # Oracle: the eigenvalues of A_a - L C_a computed independently by
-        # numpy must equal the requested set.
+        # Oracle: the characteristic polynomial of A_a - L C_a, computed
+        # independently by numpy from its eigenvalues, must be the one the
+        # requested poles give, within the design's bound of 1e-8 times
+        # max(1, ||A_a - L C_a||). The coefficients, not the eigenvalues, are
+        # what the design controls: near a double pole (seed 686 draws two
+        # 1.6e-5 apart) an eigenvalue moves with the square root of a
+        # coefficient error.
         rng = np.random.default_rng(seed)
         aug = augment(companion_model(1.44, -0.45, 5e-3))
         reals = rng.uniform(-0.9, 0.9, size=3)
         gain = place_observer_poles(aug, poles=tuple(reals))
-        achieved = sorted_eigs(aug.A_a - np.outer(gain.L, aug.C_a))
-        np.testing.assert_allclose(achieved, np.sort_complex(
-            reals.astype(complex)), atol=1e-8)
+        F = aug.A_a - np.outer(gain.L, aug.C_a)
+        np.testing.assert_allclose(
+            np.poly(F), np.poly(reals), rtol=0.0,
+            atol=1e-8 * max(1.0, float(np.linalg.norm(F))))
+
 
 
 class TestObserverStep:

@@ -59,13 +59,19 @@ class TestBasics:
         assert sol.iterations <= 4 * (p.n + p.m)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^H must be symmetric$"):
             QpProblem(H=[[1.0, 0.5], [0.0, 1.0]], g=[0.0, 0.0],
                       G=np.empty((0, 2)), lo=[], hi=[])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^g must be finite$"):
+            box_problem([[2.0]], [np.nan], [0.0], [1.0])
+        with pytest.raises(ValueError, match="^g must be finite$"):
+            box_problem([[2.0]], [np.inf], [np.nan], [1.0])
+        with pytest.raises(ValueError, match="^need lo <= hi elementwise$"):
             box_problem([[2.0]], [0.0], [1.0], [0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bounds must not be NaN$"):
             box_problem([[2.0]], [0.0], [np.nan], [1.0])
+        with pytest.raises(ValueError, match="^bounds must not be NaN$"):
+            box_problem(np.eye(2), [0.0, 0.0], [1.0, 0.0], [0.0, np.nan])
 
 
 class TestOracleAgreement:
