@@ -13,9 +13,12 @@ per-period pressure swing against a target, the energy term penalizes
 deviation of the pressure from its unactuated mean (per-sample, so the
 weight is period-length independent).
 
-The proposal grid and its feasibility mask depend only on the settings
-and the screen, so a search builds them once and every iteration
-reuses them.
+A search keeps one surrogate and one proposal grid.  The grid and its
+feasibility mask depend only on the settings and the screen, so they are
+built once.  The dataset only grows by appending, so each iteration's fit
+extends the previous Cholesky factor and each prediction computes only the
+grid rows of the newest point (see icpmod.gp); the surrogate's events
+(jitter escalations, variance clamps) are returned with the result.
 """
 
 from __future__ import annotations
@@ -156,11 +159,17 @@ class BoIteration:
 
 @dataclass
 class BoResult:
+    """`best_iter` is the 1-based iteration that first reached `best_cost`;
+    `gp_events` are the search surrogate's events, each tagged with the
+    dataset size n at which it happened."""
+
     theta_star: np.ndarray
     best_cost: float
+    best_iter: int
     dataset: BoDataset
     iterations: list
     config: BoConfig
+    gp_events: list
 
 
 def cost_of_period(pressure, p_amp_ref: float, lam: float, *,
@@ -203,8 +212,12 @@ def _screen(cfg: BoConfig, feasible):
     return grid, mask
 
 
-def _surfaces(data: BoDataset, cfg: BoConfig, grid, mask) -> AcquisitionSurfaces:
-    gp = GaussianProcess(cfg.hyperparams, input_bounds=cfg.theta_bounds)
+def _surrogate(cfg: BoConfig) -> GaussianProcess:
+    return GaussianProcess(cfg.hyperparams, input_bounds=cfg.theta_bounds)
+
+
+def _surfaces(gp: GaussianProcess, data: BoDataset, cfg: BoConfig, grid,
+              mask) -> AcquisitionSurfaces:
     if len(data):
         gp.fit_dataset(data)
     mu, sigma = gp.predict(grid)
@@ -224,9 +237,9 @@ def _random_feasible(cfg: BoConfig, rng: np.random.Generator, feasible):
         f"no feasible parameter point in {_MAX_DRAWS} uniform draws")
 
 
-def _pick(data: BoDataset, cfg: BoConfig, iteration: int,
+def _pick(gp: GaussianProcess, data: BoDataset, cfg: BoConfig, iteration: int,
           rng: np.random.Generator, feasible, grid, mask):
-    surfaces = _surfaces(data, cfg, grid, mask)
+    surfaces = _surfaces(gp, data, cfg, grid, mask)
     if iteration <= cfg.n_r:
         return _random_feasible(cfg, rng, feasible), "random", surfaces
     if not surfaces.feasible.any():
@@ -244,7 +257,7 @@ def propose(data: BoDataset, cfg: BoConfig, iteration: int,
         raise ValueError(f"iteration must be in [1, {cfg.n_m}], got {iteration}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    theta, _, _ = _pick(data, cfg, iteration, rng, feasible,
+    theta, _, _ = _pick(_surrogate(cfg), data, cfg, iteration, rng, feasible,
                         *_screen(cfg, feasible))
     return theta
 
@@ -324,11 +337,13 @@ def run(cfg: BoConfig, evaluate_fn, feasible=None) -> BoResult:
     """
     rng = np.random.default_rng(cfg.seed)
     grid, mask = _screen(cfg, feasible)
+    gp = _surrogate(cfg)
     data = BoDataset()
     iterations: list = []
     best = -np.inf
     for n in range(1, cfg.n_m + 1):
-        theta, source, surfaces = _pick(data, cfg, n, rng, feasible, grid, mask)
+        theta, source, surfaces = _pick(gp, data, cfg, n, rng, feasible,
+                                        grid, mask)
         ev = evaluate_fn(theta)
         if not isinstance(ev, CostEvaluation):
             cost = float(ev)
@@ -343,4 +358,5 @@ def run(cfg: BoConfig, evaluate_fn, feasible=None) -> BoResult:
                                       surfaces=surfaces))
     star = data.best_index()
     return BoResult(theta_star=data.thetas[star], best_cost=data.costs[star],
-                    dataset=data, iterations=iterations, config=cfg)
+                    best_iter=star + 1, dataset=data, iterations=iterations,
+                    config=cfg, gp_events=gp.events)

@@ -10,12 +10,26 @@ Numerical choices, all deliberate:
 * When bounds are given, inputs are mapped onto the unit box before the
   kernel sees them; lengthscales are expressed in those units.
 * Outputs are standardized to zero mean / unit variance of the current
-  data.  The statistics exclude abort penalties (costs at or below
-  ``PENALTY_THRESHOLD``), and standardized targets are floored so a
-  -1e6 penalty steers the surrogate away from a region without
+  data on every fit.  The statistics exclude abort penalties (costs at
+  or below ``PENALTY_THRESHOLD``), and standardized targets are floored
+  so a -1e6 penalty steers the surrogate away from a region without
   flattening the scale of the ordinary observations.
-* The Gram factorization escalates diagonal jitter 1e-10 -> 1e-6 on
-  failure before giving up; escalations are recorded in ``events``.
+* The posterior is kept as the lower Cholesky factor L of the Gram
+  matrix (GPML Alg. 2.1).  A search only ever appends points, so when
+  the previous inputs are a prefix of the new ones and the previous
+  factor carries no jitter, ``fit`` extends L by one row per new point:
+  one triangular solve and one pivot.  A squared pivot that is not
+  finite or not above its own rounding error (a duplicated point under
+  tiny noise), and every other case, refactors the whole Gram matrix as a
+  fresh fit would, escalating diagonal jitter 0, 1e-10, 1e-8, 1e-6 on
+  failure before giving up.
+* ``predict`` keeps, for the last query set, the rows W = L^-1 K(X, Q)
+  and their running column sums of squares, and computes only the rows
+  of points added since; mu = (L^-1 z)' W and var = sigma_f^2 - sum W^2.
+  The query set is recognised by its contents, so a new or mutated
+  query array, or a refactored L, starts the rows from 0.
+* Jitter escalations and clamps of negative variances are recorded in
+  ``events``, each with the dataset size n at which it happened.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, solve_triangular
 
 __all__ = [
     "PENALTY_THRESHOLD",
@@ -44,6 +58,7 @@ PENALTY_THRESHOLD = -1e5
 _TARGET_FLOOR = -5.0
 
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -110,12 +125,14 @@ class BoDataset:
 
 @dataclass(frozen=True)
 class GpPosterior:
-    """Fitted state: standardized training data plus the Gram factorization."""
+    """Fitted state: standardized training data, the lower Cholesky factor
+    `chol` of the (jittered) Gram matrix, zero above the diagonal, and
+    `beta` = chol^-1 z."""
 
     x_std: np.ndarray
     z: np.ndarray
-    alpha: np.ndarray
-    factor: tuple
+    chol: np.ndarray
+    beta: np.ndarray
     hyperparams: GpHyperparams
     y_mean: float
     y_scale: float
@@ -129,8 +146,10 @@ class GaussianProcess:
     budgets rarely support fitting them, and fixed values keep runs
     deterministic.
 
-    ``fit`` factorizes the Gram matrix once; ``predict`` reuses the
-    factorization and is safe to call concurrently.  Before any fit,
+    One instance serves a whole search.  ``fit`` extends the previous
+    factor when the data only grew; ``predict`` reuses the rows it
+    computed for the same query points.  Both update that state, so an
+    instance must not be shared between threads.  Before any fit,
     ``predict`` returns the prior (mean 0, standard deviation sigma_f).
     """
 
@@ -149,6 +168,14 @@ class GaussianProcess:
         self.standardize = bool(standardize)
         self.posterior_: GpPosterior | None = None
         self.events: list[dict] = []
+        # For the last query points _q (a copy; _qs mapped): the rows
+        # W[:_w_rows] = chol^-1 K(X, _qs), in a buffer that grows by
+        # doubling, and _wsq = sum(W[:_w_rows]**2, axis=0).
+        self._q: np.ndarray | None = None
+        self._qs = np.zeros((0, 0))
+        self._w = np.zeros((0, 0))
+        self._w_rows = 0
+        self._wsq = np.zeros(0)
 
     # -- fitting ---------------------------------------------------------
 
@@ -172,30 +199,61 @@ class GaussianProcess:
         y_mean, y_scale = self._output_stats(y)
         z = np.maximum((y - y_mean) / y_scale, _TARGET_FLOOR)
 
-        K = self._kernel(xs, xs)
-        K[np.diag_indices_from(K)] += hp.noise_var
-        factor = None
-        for jitter in _JITTERS:
-            try:
-                factor = cho_factor(K + jitter * np.eye(len(K)), lower=True)
-            except LinAlgError:
-                continue
-            if jitter > 0.0:
-                self.events.append({"kind": "jitter", "value": jitter})
-            break
-        if factor is None:
-            raise LinAlgError(
-                f"Gram factorization failed for n={len(K)} even at jitter "
-                f"{_JITTERS[-1]:g}")
-        alpha = cho_solve(factor, z)
+        post, chol, jitter = self.posterior_, None, 0.0
+        if (post is not None and post.jitter == 0.0 and post.hyperparams == hp
+                and len(post.x_std) <= len(xs)
+                and np.array_equal(post.x_std, xs[:len(post.x_std)])):
+            chol = self._extend(post.chol, xs)
+        if chol is None:
+            chol, jitter = self._factor(xs)
+            self._w_rows = 0  # rows of the old factor no longer apply
+        beta = solve_triangular(chol, z, lower=True, check_finite=False)
         self.posterior_ = GpPosterior(
-            x_std=xs, z=z, alpha=alpha, factor=factor, hyperparams=hp,
+            x_std=xs, z=z, chol=chol, beta=beta, hyperparams=hp,
             y_mean=y_mean, y_scale=y_scale, jitter=jitter)
         return self
 
     def fit_dataset(self, data: BoDataset) -> "GaussianProcess":
         X, y = data.as_arrays()
         return self.fit(X, y)
+
+    def _extend(self, chol: np.ndarray, xs: np.ndarray):
+        """`chol` grown by one row per point of xs past its size, or None
+        when a squared pivot is not finite or not above the rounding error
+        of its own computation, (j + 1) eps K_jj: there the whole-matrix
+        factorization decides, as it would for a fresh fit."""
+        noise = self.hyperparams.noise_var
+        for j in range(len(chol), len(xs)):
+            k = self._kernel(xs[:j + 1], xs[j:j + 1])[:, 0]
+            row = solve_triangular(chol, k[:j], lower=True,
+                                   check_finite=False)
+            diag = k[j] + noise
+            pivot = diag - row @ row
+            if not (j + 1) * _EPS * diag < pivot < np.inf:
+                return None
+            grown = np.zeros((j + 1, j + 1))
+            grown[:j, :j] = chol
+            grown[j, :j] = row
+            grown[j, j] = np.sqrt(pivot)
+            chol = grown
+        return chol
+
+    def _factor(self, xs: np.ndarray):
+        """Lower Cholesky factor of the whole Gram matrix and its jitter."""
+        K = self._kernel(xs, xs)
+        K[np.diag_indices_from(K)] += self.hyperparams.noise_var
+        for jitter in _JITTERS:
+            try:
+                c, _ = cho_factor(K + jitter * np.eye(len(K)), lower=True)
+            except LinAlgError:
+                continue
+            if jitter > 0.0:
+                self.events.append({"kind": "jitter", "value": jitter,
+                                    "n": len(K)})
+            return np.tril(c), jitter
+        raise LinAlgError(
+            f"Gram factorization failed for n={len(K)} even at jitter "
+            f"{_JITTERS[-1]:g}")
 
     # -- prediction ------------------------------------------------------
 
@@ -224,19 +282,46 @@ class GaussianProcess:
                 f"query dimension {Xq.shape[1]} != data dimension "
                 f"{post.x_std.shape[1]}")
 
-        ks = self._kernel(self._map_inputs(Xq), post.x_std)
-        mu_z = ks @ post.alpha
-        v = cho_solve(post.factor, ks.T)
-        var = hp.signal_var - np.einsum("mn,nm->m", ks, v)
+        W = self._rows(Xq, post)
+        mu_z = post.beta @ W
+        var = hp.signal_var - self._wsq
         worst = float(var.min(initial=0.0))
         if worst < 0.0:
-            self.events.append({"kind": "variance_clamp", "worst": worst})
+            self.events.append({"kind": "variance_clamp", "worst": worst,
+                                "n": len(post.z)})
             var = np.maximum(var, 0.0)
         mu = mu_z * post.y_scale + post.y_mean
         sd = np.sqrt(var) * post.y_scale
         if single:
             return float(mu[0]), float(sd[0])
         return mu, sd
+
+    def _rows(self, Xq: np.ndarray, post: GpPosterior) -> np.ndarray:
+        """W = chol^-1 K(X, Xq), computing only the rows not yet held for
+        these query points; updates the running sum of squares."""
+        if self._q is None or not np.array_equal(self._q, Xq):
+            self._q = Xq.copy()
+            self._w_rows = 0
+        start, n = self._w_rows, len(post.z)
+        if start == 0:
+            self._qs = self._map_inputs(Xq)
+            self._wsq = np.zeros(len(Xq))
+        if n > len(self._w) or self._w.shape[1] != len(Xq):
+            grown = np.empty((max(n, 2 * start), len(Xq)))
+            if start:
+                grown[:start] = self._w[:start]
+            self._w = grown
+        W = self._w
+        if start < n:
+            B = self._kernel(post.x_std[start:], self._qs)
+            if start:
+                B -= post.chol[start:, :start] @ W[:start]
+            new = solve_triangular(post.chol[start:, start:], B, lower=True,
+                                   check_finite=False)
+            W[start:n] = new
+            self._wsq += np.einsum("ij,ij->j", new, new)
+            self._w_rows = n
+        return W[:n]
 
     # -- internals -------------------------------------------------------
 
@@ -260,7 +345,14 @@ class GaussianProcess:
         return mean, scale
 
     def _kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        ell = np.asarray(self.hyperparams.lengthscales)
-        diff = (A[:, None, :] - B[None, :, :]) / ell
-        return self.hyperparams.signal_var * np.exp(
-            -0.5 * np.sum(diff**2, axis=-1))
+        # Per-axis squared scaled differences summed in axis order: the
+        # sums of an (m, n, d) broadcast reduced over d, without the
+        # (m, n, d) temporaries.
+        hp = self.hyperparams
+        sq = np.zeros((len(A), len(B)))
+        for k, ell in enumerate(hp.lengthscales):
+            diff = np.subtract.outer(A[:, k], B[:, k])
+            diff /= ell
+            diff *= diff
+            sq += diff
+        return hp.signal_var * np.exp(-0.5 * sq)

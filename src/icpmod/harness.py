@@ -786,6 +786,8 @@ def run_modulation(cfg: RunConfig) -> ModulationResult:
         "identification": ident,
         "theta_star": [float(theta_star[0]), float(theta_star[1])],
         "best_cost": float(result.best_cost),
+        "best_iter": result.best_iter,
+        "gp_events": result.gp_events,
         "p_amp_ref_mmhg": float(bo_cfg.p_amp_ref_mmhg),
         "files": ["model.json", "summary.csv", "traces/baseline.csv",
                   "traces/actuated.csv", "traces/bo_iterations.csv"] + gp_files,

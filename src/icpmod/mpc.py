@@ -248,7 +248,16 @@ class MpcController:
         if d.shape != (N,) or ref.shape != (N,):
             raise ValueError(f"d_preview and ref_window must have {N} entries")
 
-        problem = self._cond.assemble(xhat, d, ref)
+        try:
+            problem = self._cond.assemble(xhat, d, ref)
+        except ValueError:
+            # Name the input that made the QP data non-finite; a nominal
+            # step never comes here, so it pays for no check.
+            for name, v in (("xhat", xhat), ("d_preview", d),
+                            ("ref_window", ref)):
+                if not np.isfinite(v).all():
+                    raise ValueError(f"{name} must be finite") from None
+            raise
         sol = solve_qp(problem, y0=self._y[self._y_shift])
         self._step_count += 1
 

@@ -107,8 +107,11 @@ def check_feasible(shape: ReferenceShape, params: ReferenceParams, period: int,
     """Validate theta against bounds, position limits, velocity-implied slopes,
     and the period fit.  Returns (ok, reason); reason names the first failed
     check."""
-    d, m = params.delay_s, params.magnitude_mm
-    (d_lo, d_hi), (m_lo, m_hi) = theta_bounds
+    # Python floats throughout: the search screens thousands of points, and
+    # numpy-scalar arithmetic costs several times as much per operation.
+    # Conversion is exact, so results and reasons are unchanged.
+    d, m = float(params.delay_s), float(params.magnitude_mm)
+    (d_lo, d_hi), (m_lo, m_hi) = np.asarray(theta_bounds).tolist()
     if not d_lo <= d <= d_hi:
         return False, f"delay {d:.4f} s outside [{d_lo}, {d_hi}]"
     if not m_lo <= m <= m_hi:

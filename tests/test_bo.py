@@ -14,7 +14,7 @@ from icpmod.bo import (
     run,
     theta_grid,
 )
-from icpmod.gp import DEFAULT_HYPERPARAMS, BoDataset
+from icpmod.gp import DEFAULT_HYPERPARAMS, PENALTY_THRESHOLD, BoDataset
 from icpmod.refgen import THETA_BOUNDS
 from oracles import dense_gp_posterior
 
@@ -310,6 +310,70 @@ class TestRun:
         assert 0 < expect.sum() < len(grid)
         for it in res.iterations:
             np.testing.assert_array_equal(it.surfaces.feasible, expect)
+
+    def test_every_surface_matches_dense_oracle(self):
+        # One surrogate serves the whole search; iteration n's surfaces
+        # must still be the posterior of the first n - 1 evaluations, with
+        # targets standardized by the non-penalty costs and floored at -5.
+        cfg = BoConfig(n_m=12, n_r=4, grid_resolution=20, seed=5)
+        target = quadratic([0.12, 0.9])
+
+        def objective(th):
+            return cfg.penalty_cost if th[1] > 1.15 else target(th)
+
+        res = run(cfg, objective)
+        X, y = res.dataset.as_arrays()
+        assert np.any(y == cfg.penalty_cost)
+        lo = THETA_BOUNDS[:, 0]
+        span = THETA_BOUNDS[:, 1] - lo
+        hp = DEFAULT_HYPERPARAMS
+        for it in res.iterations:
+            s = it.surfaces
+            k = it.n - 1
+            if k == 0:
+                assert np.all(s.mu == 0.0)
+                assert np.all(s.sigma == np.sqrt(hp.signal_var))
+                continue
+            clean = y[:k][y[:k] > PENALTY_THRESHOLD]
+            mean = clean.mean()
+            scale = clean.std() if clean.std() > 1e-8 else 1.0
+            z = np.maximum((y[:k] - mean) / scale, -5.0)
+            mu_z, sd_z = dense_gp_posterior((X[:k] - lo) / span, z,
+                                            (s.grid - lo) / span,
+                                            hp.lengthscales, hp.signal_var,
+                                            hp.noise_var)
+            np.testing.assert_allclose(s.mu, mu_z * scale + mean,
+                                       atol=1e-9 * scale, rtol=0)
+            np.testing.assert_allclose(s.sigma, sd_z * scale,
+                                       atol=1e-9 * scale, rtol=0)
+            np.testing.assert_array_equal(s.acquisition,
+                                          s.mu + cfg.beta * s.sigma)
+
+    def test_best_iter_first_reaches_best_cost(self):
+        res = run(BoConfig(n_m=12, seed=1), quadratic([0.12, 0.9]))
+        first = next(it.n for it in res.iterations
+                     if it.evaluation.cost == res.best_cost)
+        assert res.best_iter == first
+        assert res.iterations[res.best_iter - 1].best_cost == res.best_cost
+
+    def test_gp_events_survive_the_search(self, monkeypatch):
+        # The first whole-matrix factorization fails once, at n = 1, so the
+        # search's one surrogate escalates jitter there and keeps the event.
+        import icpmod.gp as gpmod
+        from scipy.linalg import LinAlgError
+
+        real, failures = gpmod.cho_factor, [1]
+
+        def flaky(a, **kw):
+            if failures:
+                failures.pop()
+                raise LinAlgError("synthetic failure")
+            return real(a, **kw)
+
+        monkeypatch.setattr(gpmod, "cho_factor", flaky)
+        res = run(BoConfig(n_m=6, n_r=2, grid_resolution=12, seed=0),
+                  quadratic([0.1, 0.8]))
+        assert res.gp_events == [{"kind": "jitter", "value": 1e-10, "n": 1}]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -148,6 +148,135 @@ class TestVarianceProperties:
         np.testing.assert_allclose(sd_a, sd_b, atol=1e-10, rtol=0)
 
 
+def counting_cho_factor(monkeypatch):
+    """Count the whole-matrix factorizations a GaussianProcess makes."""
+    import icpmod.gp as gpmod
+
+    real, calls = gpmod.cho_factor, []
+
+    def counted(a, **kw):
+        calls.append(len(a))
+        return real(a, **kw)
+
+    monkeypatch.setattr(gpmod, "cho_factor", counted)
+    return calls
+
+
+def fresh(X, y, Xq):
+    """The posterior of a new GP fitted on the whole data, as bo uses it."""
+    return GaussianProcess(input_bounds=THETA_BOUNDS).fit(X, y).predict(Xq)
+
+
+def assert_close(gp, got, want):
+    """Equal within 1e-12 of the output scale, as an extended factor and
+    the whole-matrix factor agree."""
+    tol = 1e-12 * gp.posterior_.y_scale
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, atol=tol, rtol=0)
+
+
+class TestIncrementalPosterior:
+    """One GaussianProcess refit on a growing dataset and asked for the same
+    query points must give what a new one fitted on the whole data gives."""
+
+    def test_extended_matches_fresh(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        X = rng.uniform(THETA_BOUNDS[:, 0], THETA_BOUNDS[:, 1], size=(20, 2))
+        y = rng.normal(loc=-2.0, scale=3.0, size=20)
+        y[7] = -1e6  # a penalty moves the standardization of every target
+        Xq = rng.uniform(THETA_BOUNDS[:, 0], THETA_BOUNDS[:, 1], size=(300, 2))
+        calls = counting_cho_factor(monkeypatch)
+        gp = GaussianProcess(input_bounds=THETA_BOUNDS)
+        for n in range(1, 21):
+            got = gp.fit(X[:n], y[:n]).predict(Xq)
+            assert_close(gp, got, fresh(X[:n], y[:n], Xq))
+        # the growing GP factorized the whole matrix only for its first
+        # fit; every other factorization is a fresh GP's
+        assert calls == [1, *range(1, 21)]
+
+    def test_changed_rows_rebuild(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        X = rng.uniform(THETA_BOUNDS[:, 0], THETA_BOUNDS[:, 1], size=(7, 2))
+        y = rng.normal(size=7)
+        Xq = rng.uniform(THETA_BOUNDS[:, 0], THETA_BOUNDS[:, 1], size=(50, 2))
+        gp = GaussianProcess(input_bounds=THETA_BOUNDS)
+        gp.fit(X[:5], y[:5]).predict(Xq)
+        # the same array changed in place, at the same size
+        Xa = X[:5].copy()
+        gp.fit(Xa, y[:5]).predict(Xq)
+        Xa[0] += 0.03
+        got = gp.fit(Xa, y[:5]).predict(Xq)
+        np.testing.assert_array_equal(got, fresh(Xa, y[:5], Xq))
+        # one more point behind a changed first row
+        Xb = X[:6].copy()
+        Xb[0, 1] -= 0.1
+        got = gp.fit(Xb, y[:6]).predict(Xq)
+        np.testing.assert_array_equal(got, fresh(Xb, y[:6], Xq))
+
+    def test_other_query_points_of_the_same_shape(self):
+        rng = np.random.default_rng(23)
+        X = rng.uniform(THETA_BOUNDS[:, 0], THETA_BOUNDS[:, 1], size=(6, 2))
+        y = rng.normal(size=6)
+        Q1, Q2 = rng.uniform(THETA_BOUNDS[:, 0], THETA_BOUNDS[:, 1],
+                             size=(2, 40, 2))
+        gp = GaussianProcess(input_bounds=THETA_BOUNDS)
+        gp.fit(X[:4], y[:4]).predict(Q1)
+        got = gp.predict(Q2)
+        np.testing.assert_array_equal(got, fresh(X[:4], y[:4], Q2))
+        gp.fit(X, y).predict(Q1)
+        assert_close(gp, gp.fit(X, y).predict(Q2), fresh(X, y, Q2))
+
+    def test_query_array_mutated_in_place(self):
+        rng = np.random.default_rng(24)
+        X = rng.uniform(THETA_BOUNDS[:, 0], THETA_BOUNDS[:, 1], size=(6, 2))
+        y = rng.normal(size=6)
+        Q = rng.uniform(THETA_BOUNDS[:, 0], THETA_BOUNDS[:, 1], size=(40, 2))
+        gp = GaussianProcess(input_bounds=THETA_BOUNDS)
+        gp.fit(X[:4], y[:4]).predict(Q)
+        Q[3] = [0.1, 0.6]
+        got = gp.predict(Q)
+        np.testing.assert_array_equal(got, fresh(X[:4], y[:4], Q))
+        Q[:, 0] *= 0.5
+        assert_close(gp, gp.fit(X, y).predict(Q), fresh(X, y, Q))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_duplicated_point_escalates_jitter(self, seed):
+        # Under noise 1e-20 a repeated input makes the Gram matrix singular
+        # to rounding; seed 1 leaves a tiny positive squared pivot in the
+        # extension that the whole-matrix factorization rejects.
+        hp = GpHyperparams(lengthscales=(0.7, 1.1), signal_var=2.0,
+                           noise_var=1e-20)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2, 2, size=(5, 2))
+        y = rng.normal(size=7)
+        Xq = rng.uniform(-2, 2, size=(7, 2))
+        Xd = np.vstack([X, X[1], rng.uniform(-2, 2, size=(1, 2))])
+        gp = GaussianProcess(hp, standardize=False)
+        gp.fit(X, y[:5]).predict(Xq)
+        got = gp.fit(Xd[:6], y[:6]).predict(Xq)
+        ref = GaussianProcess(hp, standardize=False).fit(Xd[:6], y[:6])
+        np.testing.assert_array_equal(got, ref.predict(Xq))
+        assert gp.events == ref.events == [
+            {"kind": "jitter", "value": 1e-10, "n": 6}]
+        assert gp.posterior_.jitter == 1e-10
+        # a jittered factor is never extended: the next point refactors
+        got = gp.fit(Xd, y).predict(Xq)
+        np.testing.assert_array_equal(
+            got, GaussianProcess(hp, standardize=False).fit(Xd, y).predict(Xq))
+
+    def test_variance_clamp_event_carries_n(self):
+        # at the training inputs under noise 1e-17 the posterior variance is
+        # below the rounding of sigma_f^2 - sum W^2
+        hp = GpHyperparams(lengthscales=(0.7, 1.1), signal_var=2.0,
+                           noise_var=1e-17)
+        X, y = random_set(np.random.default_rng(0), 6)
+        gp = GaussianProcess(hp, standardize=False).fit(X, y)
+        _, sd = gp.predict(X)
+        clamps = [e for e in gp.events if e["kind"] == "variance_clamp"]
+        assert clamps and all(e["n"] == 6 and e["worst"] < 0.0 for e in clamps)
+        assert np.all(sd >= 0.0)
+
+
 class TestPenaltyHandling:
     def test_penalty_excluded_from_scale(self):
         rng = np.random.default_rng(8)

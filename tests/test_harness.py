@@ -414,6 +414,36 @@ class TestModulationScenario:
         assert result.report.amplification > 1.0
         assert result.report.periods_used >= 3
 
+    def test_search_record_in_manifest(self, tmp_path, monkeypatch):
+        # One forced jitter escalation in the search's surrogate must reach
+        # the manifest with the dataset size it happened at, beside the
+        # iteration that first reached the best cost.
+        import icpmod.gp as gpmod
+        from scipy.linalg import LinAlgError
+
+        real, failures = gpmod.cho_factor, [1]
+
+        def flaky(a, **kw):
+            if failures:
+                failures.pop()
+                raise LinAlgError("synthetic failure")
+            return real(a, **kw)
+
+        monkeypatch.setattr(gpmod, "cho_factor", flaky)
+        cfg = RunConfig(scenario="modulation", seed=0, outdir=str(tmp_path),
+                        label="events", baseline_settle_periods=1,
+                        final_settle_periods=1)
+        cfg = dataclasses.replace(cfg, bo=dataclasses.replace(
+            cfg.bo, n_m=4, n_r=2, n_p=2, grid_resolution=24))
+        res = run_modulation(cfg)
+        doc = yaml.safe_load((res.run_dir / "manifest.yaml").read_text())
+        event = {"kind": "jitter", "value": 1e-10, "n": 1}
+        assert res.bo.gp_events == [event]
+        assert doc["gp_events"] == [event]
+        first = next(it.n for it in res.bo.iterations
+                     if it.evaluation.cost == res.bo.best_cost)
+        assert doc["best_iter"] == res.bo.best_iter == first
+
     def test_wrong_scenario_rejected(self, tmp_path):
         cfg = RunConfig(scenario="tracking", outdir=str(tmp_path))
         with pytest.raises(HarnessError):

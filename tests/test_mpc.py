@@ -163,8 +163,19 @@ class TestAffineCondenser:
     def test_non_finite_state_rejected(self, xhat):
         ctrl = MpcController(nominal_model())
         N = ctrl.cfg.horizon
-        with pytest.raises(ValueError, match="^g must be finite$"):
+        with pytest.raises(ValueError, match="^xhat must be finite$"):
             ctrl.step(np.array(xhat), np.zeros(N), np.full(N, BASELINE))
+
+    @pytest.mark.parametrize("bad, value", [("d_preview", np.nan),
+                                            ("ref_window", -np.inf)])
+    def test_non_finite_window_rejected(self, bad, value):
+        ctrl = MpcController(nominal_model())
+        N = ctrl.cfg.horizon
+        args = {"xhat": np.array([BASELINE, 0.0]), "d_preview": np.zeros(N),
+                "ref_window": np.full(N, BASELINE)}
+        args[bad][3] = value
+        with pytest.raises(ValueError, match=f"^{bad} must be finite$"):
+            ctrl.step(**args)
 
 
 class TestWorkingSetMemo:

@@ -110,6 +110,50 @@ class TestCheckFeasible:
         assert not ok and "period" in why
 
 
+# One case per failing check: (shape, constraints, delay, magnitude, period,
+# the reason the check must give).
+REASONS = [
+    (ReferenceShape(), Constraints(), 0.25, 0.5, 67,
+     "delay 0.2500 s outside [0.0, 0.2]"),
+    (ReferenceShape(), Constraints(), 0.1, 1.3, 67,
+     "magnitude 1.3000 mm outside [0.2, 1.25]"),
+    (ReferenceShape(), Constraints(position=(0.0, 1.5)), 0.1, 1.0, 67,
+     "peak 1.6300 mm above position limit 1.5"),
+    (ReferenceShape(), Constraints(position=(0.6, 2.6)), 0.1, 0.5, 67,
+     "undershoot 0.5300 mm below position limit 0.6"),
+    (ReferenceShape(rise_s=0.0), Constraints(), 0.1, 0.5, 67,
+     "rise segment has zero duration with nonzero height"),
+    (ReferenceShape(), Constraints(velocity=(-5.0, 5.0)), 0.1, 1.0, 67,
+     "rise slope 10.0 mm/s exceeds velocity limit 5.0 mm/s"),
+    (ReferenceShape(fall_s=0.005), Constraints(), 0.1, 0.5, 67,
+     "fall slope 120.0 mm/s exceeds velocity limit 100.0 mm/s"),
+    (ReferenceShape(down_s=0.0005), Constraints(), 0.1, 0.5, 67,
+     "down slope 200.0 mm/s exceeds velocity limit 100.0 mm/s"),
+    (ReferenceShape(), Constraints(), 0.2, 0.5, 50,
+     "pulse span 0.5800 s exceeds the 0.5000 s period"),
+]
+
+
+class TestFeasibilityReasons:
+    @pytest.mark.parametrize("shape, cons, delay, mag, period, reason",
+                             REASONS)
+    def test_reason_pinned_for_numpy_and_python_inputs(self, shape, cons,
+                                                       delay, mag, period,
+                                                       reason):
+        as_numpy = check_feasible(
+            shape, ReferenceParams(np.float64(delay), np.float64(mag)),
+            period, DT, cons, THETA_BOUNDS)
+        as_python = check_feasible(shape, ReferenceParams(delay, mag), period,
+                                   DT, cons, THETA_BOUNDS.tolist())
+        assert as_numpy == as_python == (False, reason)
+
+    def test_grid_row_inputs_pass(self):
+        # the search screens rows of its numpy grid
+        theta = np.array([[0.1, 0.5]])[0]
+        assert check_feasible(ReferenceShape(), ReferenceParams(*theta), 67,
+                              DT, Constraints()) == (True, "ok")
+
+
 class TestGating:
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.0, max_value=0.2),
