@@ -567,13 +567,15 @@ def run_tracking(cfg: RunConfig) -> TrackingResult:
         raise HarnessError(f"tracking reference pulse infeasible: {reason}")
     traj = build_reference(cfg.shape, params, period, cfg.dt)
 
-    runs = {}
+    runs, mpc_events = {}, {}
     for controller in cfg.controllers:
         bench = PhantomBench(cfg.motor, phantom, cfg.dt, with_phantom=False,
                              seed=cfg.seed)
         loop = ClosedLoop(model, cfg, bench, controller, traj)
         rec = TraceRecorder()
         loop.run_periods(cfg.periods, rec)
+        if controller != "pid":
+            mpc_events[controller] = loop.ctrl.events
         run = _summarize_tracking(cfg, controller, rec, bench, loop)
         if run.input_violations:
             raise HarnessError(
@@ -595,6 +597,7 @@ def run_tracking(cfg: RunConfig) -> TrackingResult:
     write_csv(run_dir / "summary.csv", header, rows)
     write_manifest(run_dir / "manifest.yaml", cfg, {
         "identification": ident,
+        "mpc_events": mpc_events,
         "files": ["model.json", "summary.csv"]
         + [f"traces/{c}.csv" for c in runs],
     })
@@ -788,6 +791,7 @@ def run_modulation(cfg: RunConfig) -> ModulationResult:
         "best_cost": float(result.best_cost),
         "best_iter": result.best_iter,
         "gp_events": result.gp_events,
+        "mpc_events": loop.ctrl.events,
         "p_amp_ref_mmhg": float(bo_cfg.p_amp_ref_mmhg),
         "files": ["model.json", "summary.csv", "traces/baseline.csv",
                   "traces/actuated.csv", "traces/bo_iterations.csv"] + gp_files,

@@ -29,11 +29,15 @@ preview and the reference, so the controller builds that map once too and a
 step's QP data costs one matvec and one dot. To the solver the input rows and
 the slack nonnegativity rows are variable bounds and the slacks are
 separable variables, so a step whose slacks stay at zero with no input or
-state bound active costs two triangular solves on the N x N input block, and
-the pieces of a working set it has met before (its eliminated slacks, its
-Schur rows and their factor) come from the memo on the controller's
-`QpMatrices`. On the identified model such an offset-free step takes about
-60 us (Python 3.11, numpy 2.4, a shared 2-vCPU VM), most of it numpy call
+state bound active costs two triangular solves on the N x N input block. An
+active input bound fixes its input; a step that adds one (the plain MPC's
+u_0 at the rail) costs one more solve, on the factor of the inputs left
+free. The pieces of a working set it has met before (its fixed variables,
+that factor, its Schur rows and their factor) come from the memo on the
+controller's `QpMatrices`, and the first solve starts from the set with the
+slack rows at zero. On the identified model an offset-free step takes about
+30 us and a plain-MPC step that adds an input bound about 60 us (Python
+3.11, numpy 2.4, one BLAS thread, a 2-vCPU VM), most of it numpy call
 overhead.
 
 A PID controller with filtered derivative and back-calculation anti-windup is
@@ -205,7 +209,8 @@ class MpcController:
     """Receding-horizon tracking controller around the condensed QP.
 
     Holds the constant condensing matrices, hot-starts each solve from the
-    active set of the previous solution shifted by one step, and applies the
+    active set of the previous solution shifted by one step (the first one
+    after construction or `reset` from the slack rows at zero), and applies the
     decaying-hold fallback on any non-optimal solve. `events` holds one
     entry per fallback; slack activity is reported per step in
     `MpcStepResult.slack_max`, not as an event.
@@ -215,11 +220,9 @@ class MpcController:
         self.cfg = cfg if cfg is not None else MpcConfig()
         self.model = model
         self._cond = _Condenser(model, self.cfg)
-        self._y = np.zeros(self._cond.m)
         self._y_shift = self._shift_map()
-        self._u_prev = 0.0
         self.events: list[dict] = []
-        self._step_count = 0
+        self.reset()
 
     def _shift_map(self):
         # row index map implementing "previous duals advanced by one step"
@@ -282,7 +285,11 @@ class MpcController:
                              objective=sol.objective, slack_max=slack_max)
 
     def reset(self):
+        # The first solve hot-starts from the slack-nonnegativity rows at
+        # their lower bound, the working set of a step whose slacks stay at
+        # zero, rather than adding those rows one at a time.
         self._y = np.zeros(self._cond.m)
+        self._y[self._cond.N + 4 * (self._cond.N - 1):] = -1.0
         self._u_prev = 0.0
         self.events.clear()
         self._step_count = 0

@@ -23,26 +23,33 @@ dual vector imply (y0_i < 0: row i at its lower bound, y0_i > 0: at its
 upper bound; equality rows are always in the set; a guess whose rows are
 linearly dependent is replaced by the equality rows). Every working set is
 solved on the fixed factor:
-- an active bound on a separable variable fixes that variable and removes
-  it from the problem;
-- active general rows and bounds on coupled variables enter through their
-  Schur complement S = N P N' (Bartlett & Biegler 2006, QPSchur), where P
-  is the inverse Hessian of the variables left free. S has one row per such
-  active row and is rebuilt when the set changes; the factor never is.
+- an active bound row fixes its variable at the bound and removes it from
+  the problem, separable or coupled. A set that fixes coupled variables
+  solves on the Cholesky factor of the coupled block left free (taken from
+  H_cc + delta I when that was regularized) and moves the free variables'
+  gradient by the coupling columns of H times the fixed values; a fixed
+  variable's multiplier is read off its row of H;
+- active general rows enter through their Schur complement S = N P N'
+  (Bartlett & Biegler 2006, QPSchur), where P is the inverse Hessian of
+  the variables left free. S has one row per such active row.
 With only separable bounds active (the MPC's slacks at 0) a solve is two
-triangular solves on the coupled block. A solve that holds Schur rows takes
-one refinement step against H, a solve on a regularized factor two.
+triangular solves on the coupled block. A held bound is met exactly, so a
+solve is refined against H only when it holds general rows (one step) or
+the factor is regularized (two steps). An add step takes one solve P n_q
+for row q: it gives the direction, and the curvature of q on the set is
+-n_q'dz (on the free variables alone, n_q'P n_q).
 
 The pieces of a working set that do not depend on the bounds (the fixed
-variables, the Schur rows and the Cholesky factor of S) are memoized on the
-QpMatrices, keyed by the ordered, signed set, for the _MEMO_SIZE sets used
-last; only the held values and the Schur rows' bounds are read from each
-problem. A receding-horizon caller whose active set did not change gets the
-exact optimum from the first solve without building anything but those
-values, and a changed set is repaired by adding or dropping one row per
-step. The method terminates in finitely many steps in exact arithmetic and
-is a deterministic function of the problem data and y0, so repeated solves
-are bit-identical, and a memo hit gives the bits a miss gives.
+variables, the free coupled block's factor and the coupling columns, the
+Schur rows and the Cholesky factor of S) are memoized on the QpMatrices,
+keyed by the ordered, signed set, for the _MEMO_SIZE sets used last; only
+the held values and the Schur rows' bounds are read from each problem. A
+receding-horizon caller whose active set did not change gets the exact
+optimum from the first solve without building anything but those values,
+and a changed set is repaired by adding or dropping one row per step. The
+method terminates in finitely many steps in exact arithmetic and is a
+deterministic function of the problem data and y0, so repeated solves are
+bit-identical, and a memo hit gives the bits a miss gives.
 
 `iterations` counts working-set changes after the first solve: rows the hot
 start drops for a wrong-signed multiplier, rows a partial step drops and
@@ -70,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 _DELTA = 1e-9       # regularization of a singular coupled block, relative
                     # to its largest diagonal entry (if above 1)
@@ -83,7 +90,8 @@ _DELTA = 1e-9       # regularization of a singular coupled block, relative
 _SINGULAR = 1e-10
 _DEPENDENT = 1e-12
 # Working sets each QpMatrices remembers: an MPC controller meets one or two
-# sets on almost every step, and a cold start passes through one per step.
+# sets on almost every step (its first solve starts from the slack rows), and
+# a cold start passes through one set per working-set change.
 _MEMO_SIZE = 8
 
 
@@ -133,7 +141,6 @@ class QpMatrices:
         self.sep = (np.count_nonzero(H, axis=1) == 1) & (diag > 0.0)
         self.d = np.where(self.sep, diag, 1.0)   # separable curvatures
         self.cpl = np.flatnonzero(~self.sep)
-        self.sep_row = bound & self.sep[col]     # bound rows on separable vars
         # a variable with several bound rows may hold only one of them
         self.shared_bounds = np.unique(col[bound]).size < np.count_nonzero(bound)
         H_cc = H[np.ix_(self.cpl, self.cpl)]
@@ -141,9 +148,11 @@ class QpMatrices:
         self.regularized = self.L is None
         if self.regularized:
             delta = _DELTA * max(1.0, float(np.max(np.diag(H_cc))))
-            self.L = _cholesky(H_cc + delta * np.eye(self.cpl.size), 0.0)
+            H_cc = H_cc + delta * np.eye(self.cpl.size)
+            self.L = _cholesky(H_cc, 0.0)
             if self.L is None:
                 raise ValueError("H must be positive semidefinite")
+        self.H_cc = H_cc                # the block L factors
         self.row_norm = np.maximum(np.linalg.norm(G, axis=1), 1e-300)
 
         H.flags.writeable = False
@@ -151,10 +160,6 @@ class QpMatrices:
         self.H, self.G = H, G
         self.n, self.m = n, m
         self._sets: dict = {}           # working-set memo, least recent first
-
-    def csolve(self, b: np.ndarray) -> np.ndarray:
-        """(H_cc)^-1 b on the coupled block, b of shape (n_c,) or (n_c, k)."""
-        return dpotrs(self.L, b, lower=1)[0] if self.cpl.size else b
 
     def working_set(self, key, side: np.ndarray, order) -> "_SetData":
         """The bound-independent pieces of the working set that `key` names
@@ -271,11 +276,15 @@ class _SetData:
     """The pieces of a working set that the matrices and the ordered, signed
     rows alone determine; `QpMatrices.working_set` memoizes them.
 
-    Bound rows on separable variables fix those variables (`elim` rows,
-    `evar` variables, `eunit` their signed units); the other rows are Schur
-    rows (`rows`, signed normals `N`, `R` the Cholesky factor of
-    S = N P N', None if they are linearly dependent). `pick_e` and `pick_b`
-    say where each held row's bound sits in [hi, -lo].
+    Bound rows fix their variables (`elim` rows, `evar` variables, `eunit`
+    their signed units, `d_e` their entries of `QpMatrices.d`); the other
+    rows are Schur rows (`rows`, signed normals `N`, `R` the Cholesky factor
+    of S = N P N', None if they are linearly dependent). `kc` says which
+    fixed variables are coupled (`vc`) and `Hc` holds their columns of H.
+    `L` factors the coupled block left free (`cf`): the controller's factor
+    when no coupled variable is fixed, else its own, taken from the
+    regularized block if H's is. `held` lists the set's rows in index order.
+    `pick_e` and `pick_b` say where each held row's bound sits in [hi, -lo].
     """
 
     def __init__(self, M: QpMatrices, side: np.ndarray, order):
@@ -284,27 +293,43 @@ class _SetData:
         # against.
         act = (np.flatnonzero(side) if order is None
                else np.asarray(order, dtype=np.intp))
-        on_sep = M.sep_row[act]
+        self.held = np.sort(act)
+        bnd = M.var[act] >= 0
         lower = side[act] < 0.0
-        self.elim = elim = act[on_sep]
+        self.elim = elim = act[bnd]
         self.evar = M.var[elim]
         self.eunit = side[elim] * M.unit[elim]
         self.d_e = M.d[self.evar]
         self.free = M.sep.copy()
         self.free[self.evar] = False
-        self.pick_e = elim + M.m * lower[on_sep]
-        self.rows = rows = act[~on_sep]
-        self.pick_b = rows + M.m * lower[~on_sep]
+        self.pick_e = elim + M.m * lower[bnd]
+        self.rows = rows = act[~bnd]
+        self.pick_b = rows + M.m * lower[~bnd]
+        self.kc = np.flatnonzero(~M.sep[self.evar])
+        self.vc = self.evar[self.kc]
+        self.Hc = M.H[:, self.vc]
+        self.cf, self.L = M.cpl, M.L
         self.R = None
         self.ok = True
-        if rows.size:
+        if self.kc.size:
+            keep = ~np.isin(M.cpl, self.vc)
+            self.cf = M.cpl[keep]
+            if self.cf.size:
+                self.L = _cholesky(M.H_cc[np.ix_(keep, keep)], 0.0)
+                self.ok = self.L is not None
+        if rows.size and self.ok:
             self.N = side[rows][:, None] * M.G[rows]
-            N_c, N_f = self.N[:, M.cpl], self.N[:, self.free]
-            S = N_c @ M.csolve(N_c.T) + (N_f / M.d[self.free]) @ N_f.T
+            N_c, N_f = self.N[:, self.cf], self.N[:, self.free]
+            S = N_c @ self.csolve(N_c.T) + (N_f / M.d[self.free]) @ N_f.T
             # a pivot of S is the curvature its row keeps on the rows before
             # it, so this is the test a row must pass to join
             self.R = _cholesky(S, _DEPENDENT)
             self.ok = self.R is not None
+
+    def csolve(self, b: np.ndarray) -> np.ndarray:
+        """b solved against the free coupled block, b of shape (n_cf,) or
+        (n_cf, k)."""
+        return dpotrs(self.L, b, lower=1)[0] if self.cf.size else b
 
 
 class _WorkingSet:
@@ -329,11 +354,14 @@ class _WorkingSet:
 
     def update(self) -> bool:
         """Look the set's pieces up and take its bounds from the problem;
-        False if its Schur rows are linearly dependent."""
+        False if its rows are linearly dependent."""
         M = self.M
         s = self.s = M.working_set(self.key, self.side, self.order)
         self.vals = np.zeros(M.n)
         self.vals[s.evar] = self.bounds[s.pick_e] * s.eunit
+        # a held solve moves the free variables' gradient by H_{free,fixed}
+        # times the fixed coupled values
+        self.coupling = s.Hc @ self.vals[s.vc] if s.kc.size else None
         if s.rows.size:
             self.b = self.bounds[s.pick_b]
         return s.ok
@@ -341,26 +369,41 @@ class _WorkingSet:
     def pinv(self, v: np.ndarray) -> np.ndarray:
         """P v: the inverse Hessian of the free variables applied to v, zero
         on the variables the set fixes."""
-        out = np.where(self.s.free, v / self.M.d, 0.0)
-        out[self.M.cpl] = self.M.csolve(v[self.M.cpl])
+        s = self.s
+        out = np.where(s.free, v / self.M.d, 0.0)
+        out[s.cf] = s.csolve(v[s.cf])
         return out
 
-    def solve(self, gv: np.ndarray, held: bool = True):
-        """(z, lam): the minimizer of 0.5 z'Hz + gv'z with the set held, and
-        the multipliers of all m rows (zero off the set). `held=False` holds
-        the rows at zero instead of at their bounds and skips refinement:
-        the direction in which z and lam move as the multiplier of a row
-        with normal gv grows. A full step solves z again on the new set, so
-        a direction's float error does not reach the answer."""
+    def solve(self, gv: np.ndarray):
+        """(z, lam): the minimizer of 0.5 z'Hz + gv'z with the set held at
+        its bounds, and the multipliers of all m rows (zero off the set)."""
+        rhs = gv if self.coupling is None else gv + self.coupling
+        return self._hold(self.vals - self.pinv(rhs), gv, True)
+
+    def direction(self, n: np.ndarray):
+        """(dz, dlam, curvature of n on the set's rows, on the free
+        variables alone): how z and lam move as the multiplier of a row
+        with normal n grows, the set held at zero. The first curvature is
+        the pivot the row would add to the Cholesky factor of S, so it is
+        the quantity `_SetData` tests. A full step solves z again on the
+        new set, so a direction's float error does not reach the answer."""
+        pn = self.pinv(n)
+        dz, dlam = self._hold(-pn, n, False)
+        return dz, dlam, -float(n @ dz), float(n @ pn)
+
+    def _hold(self, z: np.ndarray, gv: np.ndarray, held: bool):
+        """Complete a solve whose z is right with only the bound rows held:
+        hold the Schur rows (at their bounds if `held`, else at zero), refine
+        a held solve where that is needed, and take the multipliers."""
         M, s = self.M, self.s
-        z = (self.vals if held else 0.0) - self.pinv(gv)
         lam = np.zeros(M.m)
         grad = gv                      # gv + N' nu
-        # Refinement against the unregularized H, the fixed variables held:
-        # two steps on a regularized factor, and one whenever Schur rows are
-        # held, because S = N P N' is as ill-conditioned as H_cc and an
-        # unrefined solve leaves held rows off their bounds by ~1e-9 in the
-        # MPC's saturated transients.
+        # Refinement against the unregularized H, the fixed variables held
+        # (a fixed variable sits exactly at its bound, so a set of bound
+        # rows alone needs none): two steps on a regularized factor, and one
+        # whenever Schur rows are held, because S = N P N' is as
+        # ill-conditioned as H_cc and an unrefined solve leaves held rows
+        # off their bounds by ~1e-9 in the MPC's saturated transients.
         refine = (2 if M.regularized else 1) if held else 0
         if s.rows.size:
             N, R = s.N, s.R
@@ -368,9 +411,7 @@ class _WorkingSet:
             nu = dpotrs(R, N @ z - b, lower=1)[0]
             z = z - self.pinv(N.T @ nu)
             for _ in range(refine):
-                r = M.H @ z + gv + N.T @ nu
-                r[s.evar] = 0.0
-                corr = self.pinv(r)
+                corr = self.pinv(M.H @ z + gv + N.T @ nu)
                 dnu = dpotrs(R, N @ (z - corr) - b, lower=1)[0]
                 z = z - corr - self.pinv(N.T @ dnu)
                 nu = nu + dnu
@@ -378,29 +419,20 @@ class _WorkingSet:
             grad = gv + N.T @ nu
         else:
             for _ in range(refine if M.regularized else 0):
-                r = M.H @ z + gv
-                r[s.evar] = 0.0
-                z = z - self.pinv(r)
-        # a fixed separable variable's bound row balances its gradient
+                z = z - self.pinv(M.H @ z + gv)
+        # a fixed variable's bound row balances its gradient: d_j z_j on a
+        # separable variable, its row of H on a coupled one
         j = s.evar
-        lam[s.elim] = -(s.d_e * z[j] + grad[j]) * s.eunit
+        hz = s.d_e * z[j]
+        if s.kc.size:
+            hz[s.kc] = z @ s.Hc
+        lam[s.elim] = -(hz + grad[j]) * s.eunit
         return z, lam
-
-    def curvature(self, n: np.ndarray):
-        """(curvature of a row with normal n on the set's rows, on the free
-        variables alone). The first is the pivot the row would add to the
-        Cholesky factor of S, so it is the quantity `_SetData` tests."""
-        pn = self.pinv(n)
-        free = float(n @ pn)
-        if not self.s.rows.size:
-            return free, free
-        w = dtrtrs(self.s.R, self.s.N @ pn, lower=1)[0]
-        return free - float(w @ w), free
 
     def change(self, i: int, side: float) -> bool:
         """Add row i to the set on `side`, or drop it (side 0)."""
         if self.order is None:
-            self.order = np.flatnonzero(self.side).tolist()
+            self.order = self.s.held.tolist()
         self.side[i] = side
         if side:
             self.order.append(i)
@@ -481,13 +513,16 @@ def solve_qp(p: QpProblem, tol: float = 1e-8,
             if steps > max_steps:
                 status = "failed"
                 break
-            dz, dlam = ws.solve(n_q, held=False)
-            curv, free_curv = ws.curvature(n_q)
+            dz, dlam, curv, free_curv = ws.direction(n_q)
             t_full = (float(n_q @ z - b_q) / curv
                       if curv > _DEPENDENT * free_curv else np.inf)
-            blocking = (ws.side != 0.0) & ~eq & (dlam < 0.0)
-            ratios = np.where(blocking, np.maximum(lam, 0.0)
-                              / np.where(blocking, -dlam, 1.0), np.inf)
+            h = ws.s.held
+            dl = dlam[h]
+            blocking = dl < 0.0
+            if any_eq:
+                blocking &= ~eq[h]
+            ratios = np.where(blocking, np.maximum(lam[h], 0.0)
+                              / np.where(blocking, -dl, 1.0), np.inf)
             t_part = float(ratios.min(initial=np.inf))
             if not np.isfinite(min(t_full, t_part)):
                 status = "infeasible"  # no step meets row q
@@ -498,7 +533,7 @@ def solve_qp(p: QpProblem, tol: float = 1e-8,
                     break
                 z, lam = ws.solve(p.g)  # re-solved to hold the set exactly
                 break
-            j = int(np.argmin(ratios))
+            j = int(h[np.argmin(ratios)])
             z = z + t_part * dz
             lam = lam + t_part * dlam
             lam[j] = 0.0

@@ -379,6 +379,12 @@ class TestTrackingScenario:
         lines = (res.run_dir / "summary.csv").read_text().splitlines()
         assert lines[1].startswith("mpc,")
         assert lines[1].split(",")[-1] == str(k)
+        # the manifest names each fallback, and they are the ones counted
+        doc = yaml.safe_load((res.run_dir / "manifest.yaml").read_text())
+        events = doc["mpc_events"]["mpc"]
+        assert [e["kind"] for e in events] == ["qp_failed"] * k
+        assert [e["step"] for e in events] == [50, 51, 52]
+        assert len(events) == int(lines[1].split(",")[-1])
 
 
 class TestModulationScenario:
@@ -430,6 +436,16 @@ class TestModulationScenario:
             return real(a, **kw)
 
         monkeypatch.setattr(gpmod, "cho_factor", flaky)
+        # and one forced non-optimal MPC solve must reach it as an MPC event
+        calls, solve = [], mpc.solve_qp
+
+        def failing_solve(p, **kwargs):
+            sol = solve(p, **kwargs)
+            calls.append(None)
+            return (dataclasses.replace(sol, status="failed")
+                    if len(calls) == 30 else sol)
+
+        monkeypatch.setattr(mpc, "solve_qp", failing_solve)
         cfg = RunConfig(scenario="modulation", seed=0, outdir=str(tmp_path),
                         label="events", baseline_settle_periods=1,
                         final_settle_periods=1)
@@ -443,6 +459,8 @@ class TestModulationScenario:
         first = next(it.n for it in res.bo.iterations
                      if it.evaluation.cost == res.bo.best_cost)
         assert doc["best_iter"] == res.bo.best_iter == first
+        assert [(e["step"], e["kind"]) for e in doc["mpc_events"]] == [
+            (30, "qp_failed")]
 
     def test_wrong_scenario_rejected(self, tmp_path):
         cfg = RunConfig(scenario="tracking", outdir=str(tmp_path))

@@ -1,6 +1,8 @@
 """Tracking MPC: condensed-QP correctness, disturbance preview, closed-loop
 offset behavior, and the PID baseline."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -159,11 +161,22 @@ class TestAffineCondenser:
                     atol=1e-12 * float(np.max(np.abs(want[finite]),
                                               initial=1.0)))
 
+    @staticmethod
+    def matmul_warning(value):
+        # An infinite input meets a zero of the affine map, so the matvec
+        # reports inf * 0 before `step` names the input that went bad; a
+        # NaN passes through it silently.
+        if np.isinf(value).any():
+            return pytest.warns(RuntimeWarning,
+                                match="^invalid value encountered in matmul$")
+        return contextlib.nullcontext()
+
     @pytest.mark.parametrize("xhat", [[np.nan, 0.0], [BASELINE, np.inf]])
     def test_non_finite_state_rejected(self, xhat):
         ctrl = MpcController(nominal_model())
         N = ctrl.cfg.horizon
-        with pytest.raises(ValueError, match="^xhat must be finite$"):
+        with pytest.raises(ValueError, match="^xhat must be finite$"), \
+                self.matmul_warning(xhat):
             ctrl.step(np.array(xhat), np.zeros(N), np.full(N, BASELINE))
 
     @pytest.mark.parametrize("bad, value", [("d_preview", np.nan),
@@ -174,7 +187,8 @@ class TestAffineCondenser:
         args = {"xhat": np.array([BASELINE, 0.0]), "d_preview": np.zeros(N),
                 "ref_window": np.full(N, BASELINE)}
         args[bad][3] = value
-        with pytest.raises(ValueError, match=f"^{bad} must be finite$"):
+        with pytest.raises(ValueError, match=f"^{bad} must be finite$"), \
+                self.matmul_warning(value):
             ctrl.step(**args)
 
 
@@ -216,7 +230,10 @@ class TestWorkingSetMemo:
         assert len({id(p.mats) for p, _, _ in problems}) == 1
         iters = [sol.iterations for _, _, sol in problems]
         assert any(i == 0 for i in iters) and any(0 < i < 28 for i in iters)
-        assert any(sol.y[0] != 0.0 for _, _, sol in problems)   # add step
+        # sets that fix the coupled u_0 (on its own factor and coupling
+        # columns) are met again and again, by add steps and by hot starts
+        held_u0 = [sol.iterations for _, _, sol in problems if sol.y[0] != 0.0]
+        assert 0 in held_u0 and 1 in held_u0
         for p, y0, sol in problems:
             fresh = QpProblem.on(QpMatrices(p.H, p.G), p.g, p.lo, p.hi, p.c)
             ref = solve_qp(fresh, y0=y0)
@@ -307,6 +324,27 @@ class TestMpcController:
             ref = rng.uniform(0.0, 2.6, 15)
             res = ctrl.step(xhat, rng.uniform(-0.3, 0.3, 15), ref)
             assert lo <= res.u <= hi
+
+    def test_first_step_starts_warm(self):
+        # a new controller, and one after `reset`, hot-starts its first
+        # solve from the slack rows at zero instead of adding them one by one
+        model = nominal_model()
+        ctrl = MpcController(model)
+        traj = build_reference(ReferenceShape(), ReferenceParams(0.05, 0.5),
+                               period=100, dt=DT)
+        x, d = np.array([BASELINE, 0.0]), np.zeros(15)
+        ref = np.full(15, BASELINE + 0.01)
+        cold = solve_qp(ctrl._cond.assemble(x, d, ref))
+        assert cold.iterations == 28
+        first = ctrl.step(x, d, ref)
+        assert first.iterations == 0
+        assert first.u == pytest.approx(float(cold.z[0]), rel=0.0, abs=1e-12)
+        assert first.objective == pytest.approx(cold.objective, rel=1e-12)
+        for k in range(1, 30):
+            x = model.A @ x + model.B * ctrl.step(x, d, traj.window(k, 15)).u
+        ctrl.reset()
+        again = ctrl.step(np.array([BASELINE, 0.0]), d, ref)
+        assert again == first
 
     def test_slack_reported_when_state_bounds_stressed(self):
         model = nominal_model()
@@ -530,6 +568,37 @@ class TestFixedFactorSolves:
         # u_{N-1}, with no cost at all, stays at 0
         p, sol = self.solve(x0, cfg=MpcConfig(rho=0.0))
         assert sol.z[self.N - 1] == 0.0
+
+    def test_input_bounds_with_state_row(self):
+        # past the upper travel limit and moving up: u_0..u_{N-2} fix at
+        # the rail and the first softened position row holds, a Schur row
+        # on the inputs left free and its slack
+        p, sol = self.solve([2.55, 30.0])
+        act = self.active(sol)
+        assert set(range(self.N - 1)) <= act
+        assert [i for i in act if self.N <= i < self.SLACK_ROWS[0]] == [self.N]
+        self.check_dense(p, sol)
+        hot = solve_qp(p, y0=sol.y)
+        assert hot.iterations == 0
+        np.testing.assert_array_equal(hot.z, sol.z)
+        np.testing.assert_array_equal(hot.y, sol.y)
+
+    def test_zero_input_weight_input_at_rail(self):
+        # rho = 0 with u_0 at the rail: the fixed u_0 leaves a regularized
+        # block. u_{N-1} reaches no output, so the minimizer is unique only
+        # without it; check the rest against the dense KKT solve of the
+        # problem with u_{N-1} (its column and its bound row) removed.
+        p, sol = self.solve([BASELINE - 0.05, 0.0], cfg=MpcConfig(rho=0.0))
+        assert p.mats.regularized
+        assert self.active(sol) == {0, *self.SLACK_ROWS.tolist()}
+        assert sol.z[0] == 10.0 and sol.y[0] > 0.0
+        assert sol.z[self.N - 1] == 0.0
+        var = np.delete(np.arange(p.n), self.N - 1)
+        row = np.delete(np.arange(p.m), self.N - 1)
+        z = solve_on_active_set(p.H[np.ix_(var, var)], p.g[var],
+                                p.G[np.ix_(row, var)], p.lo[row], p.hi[row],
+                                sol.y[row])
+        np.testing.assert_allclose(sol.z[var], z, rtol=0.0, atol=1e-10)
 
     def test_steps_share_h_and_g(self, monkeypatch):
         problems = []

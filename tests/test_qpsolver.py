@@ -187,3 +187,102 @@ class TestDeterminism:
                                      lo[perm], hi[perm]))
         np.testing.assert_allclose(sol_p.z, sol.z[perm], atol=1e-6)
 
+
+class TestFixedBounds:
+    """An active bound row fixes its variable, coupled or separable; only
+    general rows go through the Schur complement. Each case is checked
+    against enumeration and a weak-duality certificate."""
+
+    def solve(self, H, g, G, lo, hi, y0=None):
+        p = QpProblem(H=H, g=g, G=G, lo=lo, hi=hi)
+        sol = solve_qp(p, y0=y0)
+        assert sol.status == "optimal"
+        z_ref, obj_ref = brute_force_qp(H, g, G, lo, hi)
+        np.testing.assert_allclose(sol.z, z_ref, rtol=0.0, atol=1e-12)
+        assert abs(sol.objective - obj_ref) <= 1e-12 * (1.0 + abs(obj_ref))
+        gap, viol = weak_duality_gap(H, g, p.G, lo, hi, 0.0, sol.z, sol.y)
+        assert gap <= 1e-10 and viol <= 1e-10
+        return p, sol
+
+    def test_coupled_bound_with_general_row(self):
+        # z0..z2 coupled, z3 separable (a slack): z0 <= 1 and the general
+        # row z0 + z1 + z2 - z3 <= 1.5 both hold at the optimum, the first
+        # fixing z0, the second a Schur row on the free z1, z2, z3
+        A = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.4], [0.1, 0.4, 1.0]])
+        H = np.zeros((4, 4))
+        H[:3, :3] = A @ A.T
+        H[3, 3] = 0.5
+        g = np.array([-12.0, -6.0, -4.0, 0.2])
+        G = np.vstack((np.eye(4)[[0, 3]], [[1.0, 1.0, 1.0, -1.0]]))
+        lo = np.array([-1.0, 0.0, -np.inf])
+        hi = np.array([1.0, np.inf, 1.5])
+        p, sol = self.solve(H, g, G, lo, hi)
+        assert sol.z[0] == 1.0 and sol.y[0] > 0.0 and sol.y[2] > 0.0
+        assert sol.iterations > 0
+        hot = solve_qp(p, y0=sol.y)
+        assert hot.iterations == 0
+        np.testing.assert_array_equal(hot.z, sol.z)
+        np.testing.assert_array_equal(hot.y, sol.y)
+
+    def test_every_coupled_variable_fixed(self):
+        # both coupled variables at their upper bounds, the separable one
+        # free, and a general row on all three left inactive: the free
+        # coupled block is empty
+        H = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        g = np.array([-10.0, -10.0, 1.0])
+        G = np.vstack((np.eye(3), [[1.0, 0.0, 1.0]]))
+        lo = np.array([-1.0, -1.0, -5.0, -np.inf])
+        hi = np.array([1.0, 1.0, 5.0, 10.0])
+        p, sol = self.solve(H, g, G, lo, hi)
+        assert sol.z[0] == sol.z[1] == 1.0 and sol.z[2] == -1.0
+        assert sol.y[0] > 0.0 and sol.y[1] > 0.0
+        assert sol.y[2] == sol.y[3] == 0.0
+        # from a hot start the set holds both bounds from the first solve
+        hot = solve_qp(p, y0=sol.y)
+        assert hot.iterations == 0
+        np.testing.assert_array_equal(hot.z, sol.z)
+
+    def test_second_bound_on_fixed_variable_never_joins(self):
+        # two upper bound rows on the coupled z0: the hot start holds the
+        # looser one, the tighter one is then violated but has no curvature
+        # on the set, so the looser row must leave before it can join
+        H = np.array([[2.0, 1.0], [1.0, 2.0]])
+        g = np.array([-8.0, -2.0])
+        G = np.array([[1.0, 0.0], [1.0, 0.0]])
+        lo = np.full(2, -np.inf)
+        hi = np.array([1.0, 0.5])
+        p, sol = self.solve(H, g, G, lo, hi, y0=np.array([1.0, 0.0]))
+        assert sol.iterations == 2          # one row dropped, one added
+        assert sol.y[0] == 0.0 < sol.y[1]
+        assert sol.z[0] == 0.5
+        for data in p.mats._sets.values():
+            assert np.unique(data.evar).size == data.evar.size
+
+    def test_opposite_bounds_on_fixed_variable_infeasible(self):
+        # z0 <= 1 and z0 >= 2 on a coupled variable: with z0 fixed at one
+        # the other row cannot join, and no held multiplier can fall
+        p = QpProblem(H=[[2.0, 1.0], [1.0, 2.0]], g=[0.0, 0.0],
+                      G=[[1.0, 0.0], [1.0, 0.0]],
+                      lo=[-np.inf, 2.0], hi=[1.0, np.inf])
+        assert solve_qp(p).status == "infeasible"
+
+    def test_zero_curvature_variable_at_bound(self):
+        # z1 has no curvature and no cost, like u_{N-1} at rho = 0: the
+        # coupled block is regularized, and the bound that fixes z0 leaves
+        # a regularized sub-block. The minimizer is unique but for z1, which
+        # stays at 0; the certificate is against the singular H.
+        H = np.array([[2.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 1.0]])
+        g = np.array([-6.0, 0.0, -2.0])
+        G = np.eye(3)
+        lo, hi = np.full(3, -2.0), np.full(3, 2.0)
+        p = QpProblem(H=H, g=g, G=G, lo=lo, hi=hi)
+        assert p.mats.regularized
+        sol = solve_qp(p)
+        assert sol.status == "optimal"
+        assert sol.z[0] == 2.0 and sol.y[0] > 0.0 and sol.z[1] == 0.0
+        z_ref, obj_ref = brute_force_qp(H, g, G, lo, hi)
+        np.testing.assert_allclose(sol.z[[0, 2]], z_ref[[0, 2]], rtol=0.0,
+                                   atol=1e-12)
+        assert abs(sol.objective - obj_ref) <= 1e-12 * (1.0 + abs(obj_ref))
+        gap, viol = weak_duality_gap(H, g, G, lo, hi, 0.0, sol.z, sol.y)
+        assert gap <= 1e-10 and viol <= 1e-10
