@@ -18,16 +18,19 @@ Numerical choices, all deliberate:
   matrix (GPML Alg. 2.1).  A search only ever appends points, so when
   the previous inputs are a prefix of the new ones and the previous
   factor carries no jitter, ``fit`` extends L by one row per new point:
-  one triangular solve and one pivot.  A squared pivot that is not
-  finite or not above its own rounding error (a duplicated point under
-  tiny noise), and every other case, refactors the whole Gram matrix as a
-  fresh fit would, escalating diagonal jitter 0, 1e-10, 1e-8, 1e-6 on
-  failure before giving up.
+  one solve against L (at most 20 rows in a search) and one pivot.  A
+  squared pivot that is not finite or not above its own rounding error
+  (a duplicated point under tiny noise), and every other case, refactors
+  the whole Gram matrix as a fresh fit would, escalating diagonal jitter
+  0, 1e-10, 1e-8, 1e-6 on failure before giving up.
 * ``predict`` keeps, for the last query set, the rows W = L^-1 K(X, Q)
   and their running column sums of squares, and computes only the rows
-  of points added since; mu = (L^-1 z)' W and var = sigma_f^2 - sum W^2.
-  The query set is recognised by its contents, so a new or mutated
-  query array, or a refactored L, starts the rows from 0.
+  of points added since, by forward substitution: row j is
+  (K(x_j, Q) - L[j, :j] W[:j]) / L[j, j], so the search's refit after
+  each evaluation costs one product and one division over the grid.
+  mu = (L^-1 z)' W and var = sigma_f^2 - sum W^2.  The query set is
+  recognised by its contents, so a new or mutated query array, or a
+  refactored L, starts the rows from 0.
 * Jitter escalations and clamps of negative variances are recorded in
   ``events``, each with the dataset size n at which it happened.
 """
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, solve_triangular
+from numpy.linalg import LinAlgError, cholesky
 
 __all__ = [
     "PENALTY_THRESHOLD",
@@ -207,7 +210,7 @@ class GaussianProcess:
         if chol is None:
             chol, jitter = self._factor(xs)
             self._w_rows = 0  # rows of the old factor no longer apply
-        beta = solve_triangular(chol, z, lower=True, check_finite=False)
+        beta = np.linalg.solve(chol, z)
         self.posterior_ = GpPosterior(
             x_std=xs, z=z, chol=chol, beta=beta, hyperparams=hp,
             y_mean=y_mean, y_scale=y_scale, jitter=jitter)
@@ -225,8 +228,7 @@ class GaussianProcess:
         noise = self.hyperparams.noise_var
         for j in range(len(chol), len(xs)):
             k = self._kernel(xs[:j + 1], xs[j:j + 1])[:, 0]
-            row = solve_triangular(chol, k[:j], lower=True,
-                                   check_finite=False)
+            row = np.linalg.solve(chol, k[:j])
             diag = k[j] + noise
             pivot = diag - row @ row
             if not (j + 1) * _EPS * diag < pivot < np.inf:
@@ -244,13 +246,13 @@ class GaussianProcess:
         K[np.diag_indices_from(K)] += self.hyperparams.noise_var
         for jitter in _JITTERS:
             try:
-                c, _ = cho_factor(K + jitter * np.eye(len(K)), lower=True)
+                chol = cholesky(K + jitter * np.eye(len(K)))
             except LinAlgError:
                 continue
             if jitter > 0.0:
                 self.events.append({"kind": "jitter", "value": jitter,
                                     "n": len(K)})
-            return np.tril(c), jitter
+            return chol, jitter
         raise LinAlgError(
             f"Gram factorization failed for n={len(K)} even at jitter "
             f"{_JITTERS[-1]:g}")
@@ -311,14 +313,15 @@ class GaussianProcess:
             if start:
                 grown[:start] = self._w[:start]
             self._w = grown
-        W = self._w
+        W, L = self._w, post.chol
         if start < n:
+            # forward substitution, a row per new point: after each search
+            # evaluation that is one division over the grid, where a
+            # general solve of the 1 x 1 block takes ~40 us on 4096 columns
             B = self._kernel(post.x_std[start:], self._qs)
-            if start:
-                B -= post.chol[start:, :start] @ W[:start]
-            new = solve_triangular(post.chol[start:, start:], B, lower=True,
-                                   check_finite=False)
-            W[start:n] = new
+            for j in range(start, n):
+                W[j] = (B[j - start] - L[j, :j] @ W[:j]) / L[j, j]
+            new = W[start:n]
             self._wsq += np.einsum("ij,ij->j", new, new)
             self._w_rows = n
         return W[:n]

@@ -23,22 +23,23 @@ decayed by half, the least-surprise safe action for a balloon actuator, and
 records the event as "qp_<status>".
 
 The Hessian and the constraint matrix do not depend on the state, so each
-controller builds, checks and factors them once (`qpsolver.QpMatrices`). The
-gradient, the bounds and the constant term are affine in the state, the
-preview and the reference, so the controller builds that map once too and a
-step's QP data costs one matvec and one dot. To the solver the input rows and
-the slack nonnegativity rows are variable bounds and the slacks are
-separable variables, so a step whose slacks stay at zero with no input or
-state bound active costs two triangular solves on the N x N input block. An
-active input bound fixes its input; a step that adds one (the plain MPC's
-u_0 at the rail) costs one more solve, on the factor of the inputs left
-free. The pieces of a working set it has met before (its fixed variables,
-that factor, its Schur rows and their factor) come from the memo on the
-controller's `QpMatrices`, and the first solve starts from the set with the
-slack rows at zero. On the identified model an offset-free step takes about
-30 us and a plain-MPC step that adds an input bound about 60 us (Python
-3.11, numpy 2.4, one BLAS thread, a 2-vCPU VM), most of it numpy call
-overhead.
+controller builds, checks and factors them once (`qpsolver.QpMatrices`),
+keeping the inverse of the N x N input block. The gradient, the bounds and
+the constant term are affine in the state, the preview and the reference, so
+the controller builds that map once too and a step's QP data costs one
+matvec and one dot. To the solver the input rows and the slack
+nonnegativity rows are variable bounds and the slacks are separable
+variables, so a step whose slacks stay at zero with no input or state bound
+active costs one product with that inverse. An active input bound fixes its
+input; a step that adds one (the plain MPC's u_0 at the rail) costs one
+more solve, with the inverse of the block of the inputs left free. The
+pieces of a working set it has met before (its fixed variables, that
+inverse, its Schur rows and the inverse of their Schur complement) come
+from the memo on the controller's `QpMatrices`, and the first solve starts
+from the set with the slack rows at zero. On the identified model an
+offset-free step takes about 30 us and a plain-MPC step that adds an input
+bound about 59 us (median over run_tracking seed 0; Python 3.11, numpy 2.4,
+a 2-vCPU VM), most of it numpy call overhead.
 
 A PID controller with filtered derivative and back-calculation anti-windup is
 included as the comparison baseline.

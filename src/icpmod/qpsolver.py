@@ -13,35 +13,37 @@ Structure read off H and G once:
   row); every other row is a general row;
 - a variable whose row of H has no off-diagonal entry and a positive
   diagonal is separable (the MPC's slacks), the others are coupled (its
-  inputs). The coupled block of H is Cholesky-factored once. If it is
-  singular (zero curvature, e.g. MpcConfig(rho=0)), H_cc + delta I is
-  factored instead.
+  inputs). The coupled block of H is Cholesky-factored once, and its
+  inverse P is built from that factor. If the block is singular (zero
+  curvature, e.g. MpcConfig(rho=0)), H_cc + delta I is factored instead.
+  The blocks are small (14 x 14 in the MPC), so every solve against one is
+  a product with its explicit inverse; numpy alone does the linear algebra.
 
 One method solves every problem: the dual active-set method of Goldfarb &
 Idnani (1983), hot-started from the active set that the signs of a previous
 dual vector imply (y0_i < 0: row i at its lower bound, y0_i > 0: at its
 upper bound; equality rows are always in the set; a guess whose rows are
 linearly dependent is replaced by the equality rows). Every working set is
-solved on the fixed factor:
+solved on the fixed inverse:
 - an active bound row fixes its variable at the bound and removes it from
   the problem, separable or coupled. A set that fixes coupled variables
-  solves on the Cholesky factor of the coupled block left free (taken from
+  solves on the inverse of the coupled block left free (factored from
   H_cc + delta I when that was regularized) and moves the free variables'
   gradient by the coupling columns of H times the fixed values; a fixed
   variable's multiplier is read off its row of H;
 - active general rows enter through their Schur complement S = N P N'
   (Bartlett & Biegler 2006, QPSchur), where P is the inverse Hessian of
   the variables left free. S has one row per such active row.
-With only separable bounds active (the MPC's slacks at 0) a solve is two
-triangular solves on the coupled block. A held bound is met exactly, so a
+With only separable bounds active (the MPC's slacks at 0) a solve is one
+product with the coupled block's inverse. A held bound is met exactly, so a
 solve is refined against H only when it holds general rows (one step) or
 the factor is regularized (two steps). An add step takes one solve P n_q
 for row q: it gives the direction, and the curvature of q on the set is
 -n_q'dz (on the free variables alone, n_q'P n_q).
 
 The pieces of a working set that do not depend on the bounds (the fixed
-variables, the free coupled block's factor and the coupling columns, the
-Schur rows and the Cholesky factor of S) are memoized on the QpMatrices,
+variables, the free coupled block's inverse and the coupling columns, the
+Schur rows and the inverse of S) are memoized on the QpMatrices,
 keyed by the ordered, signed set, for the _MEMO_SIZE sets used last; only
 the held values and the Schur rows' bounds are read from each problem. A
 receding-horizon caller whose active set did not change gets the exact
@@ -62,7 +64,8 @@ Statuses:
   certifies that the rows cannot all hold;
 - "failed": the equality rows are linearly dependent, a working set broke
   down numerically, the 4 (n + m) step cap was reached, or the final result
-  failed the residual test (e.g. with tol = 0).
+  failed the residual test (with tol = 0, any nonzero residual fails it;
+  an exactly zero one passes).
 
 Termination reports unscaled residuals: primal = max box violation of G z,
 dual = || H z + g + G' y ||_inf.  The tests are relative: each residual is
@@ -77,7 +80,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 _DELTA = 1e-9       # regularization of a singular coupled block, relative
                     # to its largest diagonal entry (if above 1)
@@ -99,10 +101,20 @@ def _cholesky(A: np.ndarray, floor: float):
     """Lower Cholesky factor of A, or None if a pivot squared (the part of
     its diagonal entry that the rows before it leave) is at or below floor
     times that entry."""
-    L, info = dpotrf(A, lower=1)
-    if info or not np.all(np.diag(L) ** 2 > floor * np.diag(A)):
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.diag(L) ** 2 > floor * np.diag(A)):
         return None
     return L
+
+
+def _inverse(L: np.ndarray) -> np.ndarray:
+    """(L L')^-1 from the lower Cholesky factor L, built once so that every
+    solve against L L' is one matrix product."""
+    Li = np.linalg.inv(L)
+    return Li.T @ Li
 
 
 class QpMatrices:
@@ -144,15 +156,16 @@ class QpMatrices:
         # a variable with several bound rows may hold only one of them
         self.shared_bounds = np.unique(col[bound]).size < np.count_nonzero(bound)
         H_cc = H[np.ix_(self.cpl, self.cpl)]
-        self.L = _cholesky(H_cc, _SINGULAR) if self.cpl.size else H_cc
-        self.regularized = self.L is None
+        L = _cholesky(H_cc, _SINGULAR)
+        self.regularized = L is None
         if self.regularized:
             delta = _DELTA * max(1.0, float(np.max(np.diag(H_cc))))
             H_cc = H_cc + delta * np.eye(self.cpl.size)
-            self.L = _cholesky(H_cc, 0.0)
-            if self.L is None:
+            L = _cholesky(H_cc, 0.0)
+            if L is None:
                 raise ValueError("H must be positive semidefinite")
-        self.H_cc = H_cc                # the block L factors
+        self.H_cc = H_cc                # the block that was factored
+        self.P = _inverse(L)            # and its inverse
         self.row_norm = np.maximum(np.linalg.norm(G, axis=1), 1e-300)
 
         H.flags.writeable = False
@@ -278,13 +291,15 @@ class _SetData:
 
     Bound rows fix their variables (`elim` rows, `evar` variables, `eunit`
     their signed units, `d_e` their entries of `QpMatrices.d`); the other
-    rows are Schur rows (`rows`, signed normals `N`, `R` the Cholesky factor
-    of S = N P N', None if they are linearly dependent). `kc` says which
-    fixed variables are coupled (`vc`) and `Hc` holds their columns of H.
-    `L` factors the coupled block left free (`cf`): the controller's factor
+    rows are Schur rows (`rows`, signed normals `N`, `S_inv` the inverse of
+    S = N P N', None if they are linearly dependent). `kc` says which fixed
+    variables are coupled (`vc`) and `Hc` holds their columns of H. `P` is
+    the inverse of the coupled block left free (`cf`): the controller's
     when no coupled variable is fixed, else its own, taken from the
     regularized block if H's is. `held` lists the set's rows in index order.
     `pick_e` and `pick_b` say where each held row's bound sits in [hi, -lo].
+    Both inverses are built from Cholesky factors, whose pivots decide
+    whether the set is usable (`ok`).
     """
 
     def __init__(self, M: QpMatrices, side: np.ndarray, order):
@@ -308,28 +323,26 @@ class _SetData:
         self.kc = np.flatnonzero(~M.sep[self.evar])
         self.vc = self.evar[self.kc]
         self.Hc = M.H[:, self.vc]
-        self.cf, self.L = M.cpl, M.L
-        self.R = None
+        self.cf, self.P = M.cpl, M.P
+        self.S_inv = None
         self.ok = True
         if self.kc.size:
             keep = ~np.isin(M.cpl, self.vc)
             self.cf = M.cpl[keep]
-            if self.cf.size:
-                self.L = _cholesky(M.H_cc[np.ix_(keep, keep)], 0.0)
-                self.ok = self.L is not None
+            L = _cholesky(M.H_cc[np.ix_(keep, keep)], 0.0)
+            self.ok = L is not None
+            if self.ok:
+                self.P = _inverse(L)
         if rows.size and self.ok:
             self.N = side[rows][:, None] * M.G[rows]
             N_c, N_f = self.N[:, self.cf], self.N[:, self.free]
-            S = N_c @ self.csolve(N_c.T) + (N_f / M.d[self.free]) @ N_f.T
+            S = N_c @ (self.P @ N_c.T) + (N_f / M.d[self.free]) @ N_f.T
             # a pivot of S is the curvature its row keeps on the rows before
             # it, so this is the test a row must pass to join
-            self.R = _cholesky(S, _DEPENDENT)
-            self.ok = self.R is not None
-
-    def csolve(self, b: np.ndarray) -> np.ndarray:
-        """b solved against the free coupled block, b of shape (n_cf,) or
-        (n_cf, k)."""
-        return dpotrs(self.L, b, lower=1)[0] if self.cf.size else b
+            R = _cholesky(S, _DEPENDENT)
+            self.ok = R is not None
+            if self.ok:
+                self.S_inv = _inverse(R)
 
 
 class _WorkingSet:
@@ -371,7 +384,7 @@ class _WorkingSet:
         on the variables the set fixes."""
         s = self.s
         out = np.where(s.free, v / self.M.d, 0.0)
-        out[s.cf] = s.csolve(v[s.cf])
+        out[s.cf] = s.P @ v[s.cf]
         return out
 
     def solve(self, gv: np.ndarray):
@@ -406,13 +419,13 @@ class _WorkingSet:
         # off their bounds by ~1e-9 in the MPC's saturated transients.
         refine = (2 if M.regularized else 1) if held else 0
         if s.rows.size:
-            N, R = s.N, s.R
+            N, S_inv = s.N, s.S_inv
             b = self.b if held else 0.0
-            nu = dpotrs(R, N @ z - b, lower=1)[0]
+            nu = S_inv @ (N @ z - b)
             z = z - self.pinv(N.T @ nu)
             for _ in range(refine):
                 corr = self.pinv(M.H @ z + gv + N.T @ nu)
-                dnu = dpotrs(R, N @ (z - corr) - b, lower=1)[0]
+                dnu = S_inv @ (N @ (z - corr) - b)
                 z = z - corr - self.pinv(N.T @ dnu)
                 nu = nu + dnu
             lam[s.rows] = nu

@@ -360,17 +360,16 @@ class TestRun:
         # The first whole-matrix factorization fails once, at n = 1, so the
         # search's one surrogate escalates jitter there and keeps the event.
         import icpmod.gp as gpmod
-        from scipy.linalg import LinAlgError
 
-        real, failures = gpmod.cho_factor, [1]
+        real, failures = gpmod.cholesky, [1]
 
         def flaky(a, **kw):
             if failures:
                 failures.pop()
-                raise LinAlgError("synthetic failure")
+                raise np.linalg.LinAlgError("synthetic failure")
             return real(a, **kw)
 
-        monkeypatch.setattr(gpmod, "cho_factor", flaky)
+        monkeypatch.setattr(gpmod, "cholesky", flaky)
         res = run(BoConfig(n_m=6, n_r=2, grid_resolution=12, seed=0),
                   quadratic([0.1, 0.8]))
         assert res.gp_events == [{"kind": "jitter", "value": 1e-10, "n": 1}]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 from icpmod.gp import (
     DEFAULT_HYPERPARAMS,
@@ -148,17 +148,17 @@ class TestVarianceProperties:
         np.testing.assert_allclose(sd_a, sd_b, atol=1e-10, rtol=0)
 
 
-def counting_cho_factor(monkeypatch):
+def counting_cholesky(monkeypatch):
     """Count the whole-matrix factorizations a GaussianProcess makes."""
     import icpmod.gp as gpmod
 
-    real, calls = gpmod.cho_factor, []
+    real, calls = gpmod.cholesky, []
 
     def counted(a, **kw):
         calls.append(len(a))
         return real(a, **kw)
 
-    monkeypatch.setattr(gpmod, "cho_factor", counted)
+    monkeypatch.setattr(gpmod, "cholesky", counted)
     return calls
 
 
@@ -185,7 +185,7 @@ class TestIncrementalPosterior:
         y = rng.normal(loc=-2.0, scale=3.0, size=20)
         y[7] = -1e6  # a penalty moves the standardization of every target
         Xq = rng.uniform(THETA_BOUNDS[:, 0], THETA_BOUNDS[:, 1], size=(300, 2))
-        calls = counting_cho_factor(monkeypatch)
+        calls = counting_cholesky(monkeypatch)
         gp = GaussianProcess(input_bounds=THETA_BOUNDS)
         for n in range(1, 21):
             got = gp.fit(X[:n], y[:n]).predict(Xq)
@@ -212,6 +212,38 @@ class TestIncrementalPosterior:
         Xb[0, 1] -= 0.1
         got = gp.fit(Xb, y[:6]).predict(Xq)
         np.testing.assert_array_equal(got, fresh(Xb, y[:6], Xq))
+
+    def test_several_new_rows_match_dense_oracle(self, monkeypatch):
+        # Rows of W for several points at once: points added by fits with
+        # no predict between them, then every row after a forced refactor.
+        rng = np.random.default_rng(25)
+        X, y = random_set(rng, 9)
+        Xq = rng.uniform(-2.5, 2.5, size=(60, 2))
+        calls = counting_cholesky(monkeypatch)
+        gp = GaussianProcess(RAW_HP, standardize=False)
+
+        def check(X, y):
+            mu_o, sd_o = dense_gp_posterior(
+                X, y, Xq, RAW_HP.lengthscales, RAW_HP.signal_var,
+                RAW_HP.noise_var)
+            tol = 1e-9 * gp.posterior_.y_scale
+            mu, sd = gp.predict(Xq)
+            np.testing.assert_allclose(mu, mu_o, atol=tol, rtol=0)
+            np.testing.assert_allclose(sd, sd_o, atol=tol, rtol=0)
+
+        gp.fit(X[:3], y[:3])
+        check(X[:3], y[:3])
+        gp.fit(X[:4], y[:4])
+        gp.fit(X[:7], y[:7])
+        assert gp._w_rows == 3
+        check(X[:7], y[:7])          # rows 3-6 in one call
+        assert gp._w_rows == 7 and calls == [3]
+        Xr = X.copy()
+        Xr[0] += 0.05                # a changed first point refactors
+        gp.fit(Xr, y)
+        assert gp._w_rows == 0 and calls == [3, 9]
+        check(Xr, y)                 # all 9 rows in one call
+        assert gp._w_rows == 9
 
     def test_other_query_points_of_the_same_shape(self):
         rng = np.random.default_rng(23)
@@ -317,7 +349,7 @@ class TestRobustness:
     def test_jitter_escalation_on_factorization_failure(self, monkeypatch):
         import icpmod.gp as gpmod
 
-        real = gpmod.cho_factor
+        real = gpmod.cholesky
         failures = {"left": 2}
 
         def flaky(a, **kw):
@@ -326,7 +358,7 @@ class TestRobustness:
                 raise LinAlgError("synthetic failure")
             return real(a, **kw)
 
-        monkeypatch.setattr(gpmod, "cho_factor", flaky)
+        monkeypatch.setattr(gpmod, "cholesky", flaky)
         rng = np.random.default_rng(5)
         X, y = random_set(rng, 4)
         gp = GaussianProcess(RAW_HP, standardize=False).fit(X, y)
@@ -341,7 +373,7 @@ class TestRobustness:
         def always_fail(a, **kw):
             raise LinAlgError("synthetic failure")
 
-        monkeypatch.setattr(gpmod, "cho_factor", always_fail)
+        monkeypatch.setattr(gpmod, "cholesky", always_fail)
         rng = np.random.default_rng(6)
         X, y = random_set(rng, 3)
         with pytest.raises(LinAlgError):

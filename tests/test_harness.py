@@ -3,10 +3,17 @@ identification sanity, closed-loop logging, scenario output layout, and the
 command-line front end."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from icpmod import __version__, mpc
 from icpmod.cli import main as cli_main
@@ -425,17 +432,16 @@ class TestModulationScenario:
         # the manifest with the dataset size it happened at, beside the
         # iteration that first reached the best cost.
         import icpmod.gp as gpmod
-        from scipy.linalg import LinAlgError
 
-        real, failures = gpmod.cho_factor, [1]
+        real, failures = gpmod.cholesky, [1]
 
         def flaky(a, **kw):
             if failures:
                 failures.pop()
-                raise LinAlgError("synthetic failure")
+                raise np.linalg.LinAlgError("synthetic failure")
             return real(a, **kw)
 
-        monkeypatch.setattr(gpmod, "cho_factor", flaky)
+        monkeypatch.setattr(gpmod, "cholesky", flaky)
         # and one forced non-optimal MPC solve must reach it as an MPC event
         calls, solve = [], mpc.solve_qp
 
@@ -466,6 +472,34 @@ class TestModulationScenario:
         cfg = RunConfig(scenario="tracking", outdir=str(tmp_path))
         with pytest.raises(HarnessError):
             run_modulation(cfg)
+
+
+# Ranges of the RunConfig fields a user sets for the MPC and the loop, each
+# with values that the config must reject. So that every generated run is
+# short, BPM stays at 40 or above, dt at 0.01 or above and the poles at 0
+# or above: negative poles make the estimate ring, the MPC then repairs its
+# active set over up to ~130 steps per solve, and one run can take seconds.
+_VALID = {"bpm": st.floats(40.0, 400.0), "dt": st.floats(0.01, 0.05),
+          "horizon": st.integers(1, 30),
+          "observer_poles": st.lists(st.floats(0.0, 0.99), min_size=3,
+                                     max_size=3),
+          "preview_lead_steps": st.integers(0, 40)}
+_INVALID = {"bpm": st.floats(-10.0, 0.0), "dt": st.floats(-0.01, 0.0),
+            "horizon": st.integers(-5, 0),
+            "observer_poles": st.one_of(
+                st.lists(st.floats(0.0, 0.99), min_size=2, max_size=2),
+                st.lists(st.floats(1.0, 2.0), min_size=3, max_size=3)),
+            "preview_lead_steps": st.integers(-5, -1)}
+
+
+@st.composite
+def run_documents(draw):
+    """(config document, the field made invalid or None): about half the
+    documents are valid, the others break one field."""
+    broken = draw(st.sampled_from((None,) * len(_VALID) + tuple(_VALID)))
+    doc = {k: draw((_INVALID if k == broken else _VALID)[k]) for k in _VALID}
+    doc["mpc"] = {"horizon": doc.pop("horizon")}
+    return doc, broken
 
 
 class TestCli:
@@ -527,6 +561,21 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error[config]")
 
+    @settings(max_examples=12, deadline=None)
+    @given(case=run_documents())
+    def test_config_ranges_exit_cleanly(self, case):
+        # a bad value is a config error (2); a valid document runs (0) or
+        # fails as a run (3), e.g. a pulse longer than the period; nothing
+        # reaches the internal-error exit (4)
+        doc, broken = case
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "run.yaml"
+            path.write_text(yaml.safe_dump(doc))
+            rc = cli_main(["tracking", "--config", str(path), "--periods", "3",
+                           "--outdir", out, "--label", "range"])
+        event(f"exit {rc}")
+        assert rc == 2 if broken else rc in (0, 3)
+
     def test_subcommand_overrides_document_scenario(self, tmp_path, capsys):
         doc = tmp_path / "mod.yaml"
         save_config(RunConfig(scenario="modulation"), doc)
@@ -538,3 +587,17 @@ class TestCli:
         manifest = yaml.safe_load(
             (tmp_path / "tracking" / "scn" / "manifest.yaml").read_text())
         assert manifest["scenario"] == "tracking"
+
+
+class TestImportPath:
+    def test_no_scipy_on_import(self):
+        # numpy alone does the linear algebra, so a fresh interpreter that
+        # loads the package, its CLI and the harness loads no scipy module
+        code = ("import sys, icpmod, icpmod.cli, icpmod.harness; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "[]"

@@ -442,11 +442,12 @@ class TestSaturatingTransients:
     start guesses the wrong active set; every solve must still terminate
     at the optimum."""
 
-    @pytest.mark.parametrize("d_true", [-0.3, 0.3])
-    def test_every_offset_free_solve_optimal(self, d_true, monkeypatch):
-        # Each solve the controller receives must be optimal by its status
-        # and by an independent weak-duality certificate, not only by the
-        # solver's own residual test.
+    @staticmethod
+    def uncertified_solves(monkeypatch, ctrl, offset_free, d_true):
+        """Run 300 steps of the +-0.3 mm loop on ctrl and return every
+        solve that is not optimal by its status and by an independent
+        weak-duality certificate (gap and violation at most 1e-10), not
+        only by the solver's own residual test."""
         solves = []
 
         def recording_solve(p, **kwargs):
@@ -455,8 +456,8 @@ class TestSaturatingTransients:
             return sol
 
         monkeypatch.setattr(mpc, "solve_qp", recording_solve)
-        ctrl = MpcController(nominal_model())
-        run_offset_loop(offset_free=True, d_true=d_true, steps=300, ctrl=ctrl)
+        run_offset_loop(offset_free=offset_free, d_true=d_true, steps=300,
+                        ctrl=ctrl)
         assert len(solves) == 300
         bad = []
         for k, (p, sol) in enumerate(solves):
@@ -465,7 +466,24 @@ class TestSaturatingTransients:
             if not (sol.status == "optimal" and gap <= 1e-10
                     and viol <= 1e-10):
                 bad.append((k, sol.status, gap, viol))
-        assert bad == []
+        return bad
+
+    @pytest.mark.parametrize("d_true", [-0.3, 0.3])
+    def test_every_offset_free_solve_optimal(self, d_true, monkeypatch):
+        ctrl = MpcController(nominal_model())
+        assert self.uncertified_solves(monkeypatch, ctrl, True, d_true) == []
+        assert not any(e["kind"].startswith("qp_") for e in ctrl.events)
+
+    @pytest.mark.parametrize("offset_free", [True, False])
+    @pytest.mark.parametrize("d_true", [-0.3, 0.3])
+    def test_regularized_factor_closed_loop(self, offset_free, d_true,
+                                            monkeypatch):
+        # rho = 0 solves every QP on the inverse of H_cc + delta I, the
+        # worst-conditioned inverse the controller holds
+        ctrl = MpcController(nominal_model(), MpcConfig(rho=0.0))
+        assert ctrl._cond.mats.regularized
+        assert self.uncertified_solves(monkeypatch, ctrl, offset_free,
+                                       d_true) == []
         assert not any(e["kind"].startswith("qp_") for e in ctrl.events)
 
     def test_transient_qp_kkt_certificate(self):

@@ -50,13 +50,25 @@ class TestBasics:
         np.testing.assert_allclose(sol.z, [0.5, 0.5], atol=1e-8)
 
     def test_max_iterations_status(self):
-        # tol = 0 passes no residual test, so the solve cannot end "optimal"
-        rng = np.random.default_rng(0)
+        # tol = 0 fails any nonzero residual. Rounding leaves one on this
+        # QP (its premise, asserted first), so the solve cannot end
+        # "optimal"
+        rng = np.random.default_rng(1)
         H, g, lo, hi = random_box_qp(rng, 4)
         p = box_problem(H, g, lo, hi)
         sol = solve_qp(p, tol=0.0)
+        assert max(sol.primal_residual, sol.dual_residual) > 0.0
         assert sol.status == "failed"
         assert sol.iterations <= 4 * (p.n + p.m)
+
+    def test_exact_solve_optimal_at_zero_tol(self):
+        # an exactly zero residual passes even the tol = 0 test:
+        # minimize (z - 2)^2 has the float-exact optimum z = 2
+        p = QpProblem(H=[[2.0]], g=[-4.0], G=np.empty((0, 1)), lo=[], hi=[], c=4.0)
+        sol = solve_qp(p, tol=0.0)
+        assert sol.primal_residual == 0.0 and sol.dual_residual == 0.0
+        assert sol.status == "optimal"
+        assert sol.z[0] == 2.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="^H must be symmetric$"):
