@@ -21,7 +21,6 @@ import yaml
 
 from . import __version__
 from .bo import BoConfig, BoResult, PeriodOutcome, evaluate as bo_evaluate, run as bo_run
-from .gp import GpHyperparams
 from .metrics import ModulationReport, modulation_report, tracking_report
 from .model import Constraints, LtiModel, augment, identify_lti
 from .mpc import MpcConfig, MpcController, PidConfig, PidController
@@ -134,6 +133,14 @@ class RunConfig:
         if not all(abs(p) < 1.0 for p in self.observer_poles):
             raise ValueError(f"observer_poles must lie strictly inside the "
                              f"unit circle, got {list(self.observer_poles)}")
+        # run_modulation sets these two from the run, so a value here would
+        # be ignored
+        bo_defaults = BoConfig()
+        for key, owner in (("seed", "seed"),
+                           ("p_amp_ref_mmhg", "amp_target_factor")):
+            if getattr(self.bo, key) != getattr(bo_defaults, key):
+                raise ValueError(f"bo.{key} is set by the run's {owner}; "
+                                 f"leave it at {getattr(bo_defaults, key)}")
 
 
 def _plain(value):
@@ -168,48 +175,28 @@ def _fields(raw, cls, section: str = "") -> dict:
     return dict(raw)
 
 
+def _build(cls, raw, section: str = ""):
+    """The dataclass `cls` from the mapping `raw`, missing keys at their
+    defaults. A field whose default is a dataclass is built from its own
+    section; one whose default is a tuple or an array is read as one."""
+    kw = _fields(raw, cls, section)
+    defaults = cls()
+    for name, value in kw.items():
+        default = getattr(defaults, name)
+        if dataclasses.is_dataclass(default):
+            kw[name] = _build(type(default), value,
+                              f"{section}.{name}" if section else name)
+        elif isinstance(default, tuple):
+            kw[name] = tuple(value)
+        elif isinstance(default, np.ndarray):
+            kw[name] = np.array(value, dtype=float)
+    return cls(**kw)
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     """Inverse of config_to_dict; missing keys fall back to defaults, and
     unknown keys or non-mapping sections raise HarnessError."""
-    d = _fields(raw, RunConfig)
-    kw = {}
-    if "motor" in d:
-        m = _fields(d.pop("motor"), MotorParams, "motor")
-        if "travel_mm" in m:
-            m["travel_mm"] = tuple(m["travel_mm"])
-        kw["motor"] = MotorParams(**m)
-    if "phantom" in d:
-        kw["phantom"] = PhantomConfig(**_fields(d.pop("phantom"), PhantomConfig,
-                                                "phantom"))
-    if "mpc" in d:
-        m = _fields(d.pop("mpc"), MpcConfig, "mpc")
-        if "constraints" in m:
-            c = _fields(m["constraints"], Constraints, "mpc.constraints")
-            m["constraints"] = Constraints(**{k: tuple(v) for k, v in c.items()})
-        kw["mpc"] = MpcConfig(**m)
-    if "pid" in d:
-        p = _fields(d.pop("pid"), PidConfig, "pid")
-        if "u_bounds" in p:
-            p["u_bounds"] = tuple(p["u_bounds"])
-        kw["pid"] = PidConfig(**p)
-    if "shape" in d:
-        kw["shape"] = ReferenceShape(**_fields(d.pop("shape"), ReferenceShape,
-                                               "shape"))
-    if "bo" in d:
-        b = _fields(d.pop("bo"), BoConfig, "bo")
-        if "theta_bounds" in b:
-            b["theta_bounds"] = np.array(b["theta_bounds"], dtype=float)
-        if "hyperparams" in b:
-            h = _fields(b["hyperparams"], GpHyperparams, "bo.hyperparams")
-            if "lengthscales" in h:
-                h["lengthscales"] = tuple(h["lengthscales"])
-            b["hyperparams"] = GpHyperparams(**h)
-        kw["bo"] = BoConfig(**b)
-    for key in ("controllers", "observer_poles"):
-        if key in d:
-            d[key] = tuple(d[key])
-    kw.update(d)
-    return RunConfig(**kw)
+    return _build(RunConfig, raw)
 
 
 def save_config(cfg: RunConfig, path) -> None:
@@ -521,7 +508,7 @@ class ControllerRun:
     trace: TraceRecorder
     nrmse_pct: float
     mate_mm: float
-    max_abs_error_mm: float
+    mean_abs_error_mm: float
     input_violations: int
     position_violations: int
     clamp_events: int
@@ -546,7 +533,7 @@ def _summarize_tracking(cfg: RunConfig, controller: str, rec: TraceRecorder,
     safety = trace_violations(rec, cfg.mpc.constraints)
     return ControllerRun(
         controller=controller, trace=rec, nrmse_pct=rep.nrmse_pct,
-        mate_mm=rep.mate_mm, max_abs_error_mm=float(np.max(np.abs(r - y))),
+        mate_mm=rep.mate_mm, mean_abs_error_mm=float(np.mean(np.abs(r - y))),
         input_violations=safety["input_violations"],
         position_violations=safety["position_violations"],
         clamp_events=bench.clamp_events, qp_fallbacks=loop.qp_fallbacks)
@@ -588,10 +575,10 @@ def run_tracking(cfg: RunConfig) -> TrackingResult:
     model.save(run_dir / "model.json")
     for controller, run in runs.items():
         run.trace.write(run_dir / "traces" / f"{controller}.csv")
-    header = ("controller", "nrmse_pct", "mate_mm", "max_abs_error_mm",
+    header = ("controller", "nrmse_pct", "mate_mm", "mean_abs_error_mm",
               "input_violations", "position_violations", "clamp_events",
               "qp_fallbacks")
-    rows = [(r.controller, r.nrmse_pct, r.mate_mm, r.max_abs_error_mm,
+    rows = [(r.controller, r.nrmse_pct, r.mate_mm, r.mean_abs_error_mm,
              r.input_violations, r.position_violations, r.clamp_events,
              r.qp_fallbacks) for r in runs.values()]
     write_csv(run_dir / "summary.csv", header, rows)

@@ -22,9 +22,10 @@ Structure read off H and G once:
 One method solves every problem: the dual active-set method of Goldfarb &
 Idnani (1983), hot-started from the active set that the signs of a previous
 dual vector imply (y0_i < 0: row i at its lower bound, y0_i > 0: at its
-upper bound; equality rows are always in the set; a guess whose rows are
-linearly dependent is replaced by the equality rows). Every working set is
-solved on the fixed inverse:
+upper bound; a guess whose rows are linearly dependent, such as two bound
+rows on one variable, is replaced by the empty set). A row with lo == hi is
+an ordinary two-sided row: it joins on the side it violates, and a drop and
+a re-add swap its side. Every working set is solved on the fixed inverse:
 - an active bound row fixes its variable at the bound and removes it from
   the problem, separable or coupled. A set that fixes coupled variables
   solves on the inverse of the coupled block left free (factored from
@@ -62,10 +63,9 @@ Statuses:
   signs are right;
 - "infeasible": no step of the method can meet a violated row, which
   certifies that the rows cannot all hold;
-- "failed": the equality rows are linearly dependent, a working set broke
-  down numerically, the 4 (n + m) step cap was reached, or the final result
-  failed the residual test (with tol = 0, any nonzero residual fails it;
-  an exactly zero one passes).
+- "failed": a working set broke down numerically, the 4 (n + m) step cap
+  was reached, or the final result failed the residual test (with tol = 0,
+  any nonzero residual fails it; an exactly zero one passes).
 
 Termination reports unscaled residuals: primal = max box violation of G z,
 dual = || H z + g + G' y ||_inf.  The tests are relative: each residual is
@@ -129,8 +129,6 @@ class QpMatrices:
         H = np.atleast_2d(np.asarray(H, dtype=float))
         n = H.shape[0]
         G = np.array(G, dtype=float)
-        if G.ndim == 1:
-            G = G.reshape(1, -1) if G.size else G.reshape(0, n)
         if H.shape != (n, n):
             raise ValueError(f"H must be square, got {H.shape}")
         if G.ndim != 2 or G.shape[1] != n:
@@ -153,8 +151,6 @@ class QpMatrices:
         self.sep = (np.count_nonzero(H, axis=1) == 1) & (diag > 0.0)
         self.d = np.where(self.sep, diag, 1.0)   # separable curvatures
         self.cpl = np.flatnonzero(~self.sep)
-        # a variable with several bound rows may hold only one of them
-        self.shared_bounds = np.unique(col[bound]).size < np.count_nonzero(bound)
         H_cc = H[np.ix_(self.cpl, self.cpl)]
         L = _cholesky(H_cc, _SINGULAR)
         self.regularized = L is None
@@ -254,35 +250,24 @@ class QpSolution:
     y: np.ndarray
 
 
-def _guess_active(p: QpProblem, eq: np.ndarray, any_eq: bool,
-                  y0: np.ndarray | None) -> np.ndarray:
+def _guess_active(p: QpProblem, y0: np.ndarray | None) -> np.ndarray:
     """Working set implied by the signs of y0, as a side per row: +1 upper
-    bound, -1 lower bound, 0 not in the set.
+    bound, -1 lower bound, 0 not in the set. Empty if y0 is None.
 
-    Equality rows are always in the set as upper rows. A variable keeps at
-    most one bound row in the set, an equality row first.
+    The guess may hold linearly dependent rows (two bound rows on one
+    variable, say); `_SetData` finds them and `solve_qp` then starts from
+    the empty set.
     """
     if y0 is None:
-        side = eq.astype(float)
-    else:
-        y0 = np.asarray(y0, dtype=float)
-        # Relative activity threshold: float dust (~1e-16 of the dual scale)
-        # on inactive rows must not enter the active set. A row whose
-        # selected bound is infinite cannot be active either.
-        thresh = 1e-14 * float(np.abs(y0).max(initial=0.0))
-        low = (y0 < -thresh) & (p.lo > -np.inf)
-        up = (y0 > thresh) & (p.hi < np.inf)
-        if any_eq:
-            low &= ~eq
-            up |= eq
-        side = np.subtract(up, low, dtype=float)
-    if p.mats.shared_bounds:
-        var = p.mats.var
-        rows = np.flatnonzero(side * (var >= 0))
-        rows = rows[np.argsort(~eq[rows], kind="stable")]
-        _, first = np.unique(var[rows], return_index=True)
-        side[np.setdiff1d(rows, rows[first])] = 0.0
-    return side
+        return np.zeros(p.m)
+    y0 = np.asarray(y0, dtype=float)
+    # Relative activity threshold: float dust (~1e-16 of the dual scale)
+    # on inactive rows must not enter the active set. A row whose
+    # selected bound is infinite cannot be active either.
+    thresh = 1e-14 * float(np.abs(y0).max(initial=0.0))
+    low = (y0 < -thresh) & (p.lo > -np.inf)
+    up = (y0 > thresh) & (p.hi < np.inf)
+    return np.subtract(up, low, dtype=float)
 
 
 class _SetData:
@@ -299,7 +284,7 @@ class _SetData:
     regularized block if H's is. `held` lists the set's rows in index order.
     `pick_e` and `pick_b` say where each held row's bound sits in [hi, -lo].
     Both inverses are built from Cholesky factors, whose pivots decide
-    whether the set is usable (`ok`).
+    whether the set is usable (`ok`); so does a variable fixed by two rows.
     """
 
     def __init__(self, M: QpMatrices, side: np.ndarray, order):
@@ -325,8 +310,9 @@ class _SetData:
         self.Hc = M.H[:, self.vc]
         self.cf, self.P = M.cpl, M.P
         self.S_inv = None
-        self.ok = True
-        if self.kc.size:
+        # two bound rows on one variable are linearly dependent
+        self.ok = np.unique(self.evar).size == self.evar.size
+        if self.kc.size and self.ok:
             keep = ~np.isin(M.cpl, self.vc)
             self.cf = M.cpl[keep]
             L = _cholesky(M.H_cc[np.ix_(keep, keep)], 0.0)
@@ -350,7 +336,7 @@ class _WorkingSet:
 
     Each row i of the set is kept as the signed normal n_i = side_i G_i with
     bound b_i (hi_i for an upper row, -lo_i for a lower one), so it reads
-    n_i'z = b_i, and its multiplier lam_i >= 0 unless it is an equality.
+    n_i'z = b_i, and its multiplier lam_i >= 0.
 
     `key` names the ordered, signed set for the memo: the bytes of `side`
     for a guessed set (its rows in index order), and (key of the set it
@@ -463,8 +449,7 @@ def _sign_slack(lam: np.ndarray) -> float:
 def solve_qp(p: QpProblem, tol: float = 1e-8,
              y0: np.ndarray | None = None) -> QpSolution:
     """Solve the QP by the dual active-set method, hot-started from the
-    active set implied by the signs of y0 (the equality rows alone if y0 is
-    None).
+    active set implied by the signs of y0 (the empty set if y0 is None).
 
     The invariant is that z minimizes the objective with the working set
     held at its bounds and lam is dual feasible. The hot start enforces it
@@ -478,32 +463,25 @@ def solve_qp(p: QpProblem, tol: float = 1e-8,
     curvature on it; it can only be met after a row leaves.
     """
     M, G = p.mats, p.mats.G
-    eq = p.lo == p.hi
-    any_eq = bool(eq.any())
     bounds = np.concatenate((p.hi, -p.lo))
-    ws = _WorkingSet(M, _guess_active(p, eq, any_eq, y0), bounds)
-    if not ws.ok:                    # a dependent guess: start from the equalities
-        ws = _WorkingSet(M, _guess_active(p, eq, any_eq, None), bounds)
+    ws = _WorkingSet(M, _guess_active(p, y0), bounds)
+    if not ws.ok:                    # a dependent guess: start from the empty set
+        ws = _WorkingSet(M, _guess_active(p, None), bounds)
     max_steps = 4 * (M.n + M.m)
 
-    def ineq(lam):
-        # lam is zero off the set, so a sign test over all inequality rows
-        # is a test over the set's
-        return np.where(eq, np.inf, lam) if any_eq else lam
-
-    z, lam = np.zeros(M.n), np.zeros(M.m)
-    status = None if ws.ok else "failed"
+    status = None
     steps = 0
     slack = None                     # the sign slack of the current lam
-    while status is None:            # dual-feasible hot start
+    while True:                      # dual-feasible hot start
         z, lam = ws.solve(p.g)
         slack = _sign_slack(lam)
-        cand = ineq(lam)
-        if float(cand.min(initial=np.inf)) >= -slack:
+        # lam is zero off the set, so this is a test over the set's rows
+        if float(lam.min(initial=np.inf)) >= -slack:
             break
         steps += 1
-        if not ws.change(int(np.argmin(cand)), 0.0):
+        if not ws.change(int(np.argmin(lam)), 0.0):
             status = "failed"
+            break
 
     while status is None:
         gz = G @ z
@@ -532,8 +510,6 @@ def solve_qp(p: QpProblem, tol: float = 1e-8,
             h = ws.s.held
             dl = dlam[h]
             blocking = dl < 0.0
-            if any_eq:
-                blocking &= ~eq[h]
             ratios = np.where(blocking, np.maximum(lam[h], 0.0)
                               / np.where(blocking, -dl, 1.0), np.inf)
             t_part = float(ratios.min(initial=np.inf))
@@ -564,7 +540,7 @@ def solve_qp(p: QpProblem, tol: float = 1e-8,
             float(np.abs(p.g).max(initial=0.0))))
         if slack is None:
             slack = _sign_slack(lam)
-        signs_ok = float(ineq(lam).min(initial=np.inf)) >= -slack
+        signs_ok = float(lam.min(initial=np.inf)) >= -slack
         status = "optimal" if signs_ok and dual_ok else "failed"
     else:
         gz = G @ z

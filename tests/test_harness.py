@@ -95,11 +95,38 @@ class TestConfigRoundTrip:
         assert isinstance(cfg.bo.hyperparams.lengthscales, tuple)
 
     def test_yaml_file_round_trip(self, tmp_path):
-        cfg = RunConfig(seed=3, bpm=90.0, pulse_magnitude_mm=0.7)
+        # a few top-level fields, then every nested section, and each tuple
+        # and array field inside one, away from its default
+        base = RunConfig()
+        nested = dataclasses.replace(
+            base,
+            motor=dataclasses.replace(base.motor, travel_mm=(0.1, 2.5)),
+            phantom=dataclasses.replace(base.phantom, noise_std_mmhg=0.05),
+            mpc=dataclasses.replace(base.mpc, constraints=Constraints(
+                position=(0.1, 2.4), velocity=(-80.0, 80.0),
+                input=(-9.0, 9.0))),
+            pid=dataclasses.replace(base.pid, u_bounds=(-8.0, 8.0)),
+            shape=dataclasses.replace(base.shape, rise_s=0.12),
+            bo=dataclasses.replace(
+                base.bo, theta_bounds=np.array([[0.0, 0.3], [0.25, 1.2]]),
+                hyperparams=dataclasses.replace(base.bo.hyperparams,
+                                                lengthscales=(0.3, 0.25))))
         path = tmp_path / "run.yaml"
-        save_config(cfg, path)
-        loaded = load_config(path)
-        assert config_to_dict(loaded) == config_to_dict(cfg)
+        for cfg in (RunConfig(seed=3, bpm=90.0, pulse_magnitude_mm=0.7),
+                    nested):
+            save_config(cfg, path)
+            loaded = load_config(path)
+            assert config_to_dict(loaded) == config_to_dict(cfg)
+        doc, default = config_to_dict(loaded), config_to_dict(base)
+        for name in ("motor", "phantom", "mpc", "pid", "shape", "bo"):
+            assert doc[name] != default[name], name
+        assert loaded.motor.travel_mm == (0.1, 2.5)
+        assert loaded.mpc.constraints.velocity == (-80.0, 80.0)
+        assert loaded.pid.u_bounds == (-8.0, 8.0)
+        assert loaded.bo.hyperparams.lengthscales == (0.3, 0.25)
+        assert loaded.bo.theta_bounds.dtype == float
+        np.testing.assert_array_equal(loaded.bo.theta_bounds,
+                                      nested.bo.theta_bounds)
 
     def test_partial_document_fills_defaults(self, tmp_path):
         path = tmp_path / "partial.yaml"
@@ -322,11 +349,29 @@ class TestTrackingScenario:
     def test_summary_schema(self, result):
         res, _ = result
         lines = (res.run_dir / "summary.csv").read_text().splitlines()
-        assert lines[0] == ("controller,nrmse_pct,mate_mm,max_abs_error_mm,"
+        assert lines[0] == ("controller,nrmse_pct,mate_mm,mean_abs_error_mm,"
                             "input_violations,position_violations,"
                             "clamp_events,qp_fallbacks")
         assert len(lines) == 3
         assert lines[1].startswith("pid,")
+
+    def test_mean_abs_error_from_trace(self, result):
+        # mean_abs_error_mm is the mean of |r - y| after warm-up, recomputed
+        # here from the written trace
+        res, _ = result
+        lines = (res.run_dir / "summary.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            trace = np.genfromtxt(res.run_dir / "traces"
+                                  / f"{row['controller']}.csv",
+                                  delimiter=",", names=True)
+            start = res.config.warmup_periods * (int(trace["phase"].max()) + 1)
+            err = np.abs(trace["r_mm"] - trace["y_mm"])[start:]
+            assert float(row["mean_abs_error_mm"]) == pytest.approx(
+                err.mean(), rel=1e-6)
+            assert float(row["mate_mm"]) == pytest.approx(err.max(), rel=1e-6)
+            assert float(row["mean_abs_error_mm"]) < float(row["mate_mm"])
 
     def test_trace_length_and_header(self, result):
         res, _ = result
@@ -533,6 +578,13 @@ class TestCli:
     @pytest.mark.parametrize("doc, message", [
         ("bo: {energy_mode: raw}\n", "unknown config key 'bo.energy_mode'"),
         ("bogus: 1\n", "unknown config key 'bogus'"),
+        ("mpc: {constraints: {x: [0, 1]}}\n",
+         "unknown config key 'mpc.constraints.x'"),
+        ("bo: {hyperparams: {x: 1}}\n", "unknown config key 'bo.hyperparams.x'"),
+        # run_modulation sets these two from the run's own fields
+        ("bo: {seed: 3}\n", "bo.seed is set by the run's seed"),
+        ("bo: {p_amp_ref_mmhg: 3.0}\n",
+         "bo.p_amp_ref_mmhg is set by the run's amp_target_factor"),
         ("bo: 5\n", "config section 'bo' must be a mapping"),
         ("observer_poles: [0.5, 0.5]\n", "observer_poles needs 3 poles, got 2"),
         ("observer_poles: [0.5, 0.5, 1.2]\n",

@@ -42,12 +42,24 @@ class TestBasics:
         assert sol.status == "infeasible"
 
     def test_equality_rows(self):
-        # minimize ||z||^2 with z0 + z1 = 1: optimum (0.5, 0.5)
-        p = QpProblem(H=2.0 * np.eye(2), g=np.zeros(2), G=[[1.0, 1.0]],
-                      lo=[1.0], hi=[1.0])
-        sol = solve_qp(p)
-        assert sol.status == "optimal"
-        np.testing.assert_allclose(sol.z, [0.5, 0.5], atol=1e-8)
+        # minimize ||z||^2 with z0 + z1 = 1: optimum (0.5, 0.5). The row is
+        # an ordinary two-sided row: cold, it joins on the side it violates;
+        # hot-started from the wrong side, it is dropped and joins again on
+        # the other
+        H, g, G = 2.0 * np.eye(2), np.zeros(2), np.array([[1.0, 1.0]])
+        lo = hi = np.array([1.0])
+        p = QpProblem(H=H, g=g, G=G, lo=lo, hi=hi)
+        cold = solve_qp(p)
+        wrong = solve_qp(p, y0=-cold.y)
+        assert (cold.iterations, wrong.iterations) == (1, 2)
+        z_ref, obj_ref = brute_force_qp(H, g, G, lo, hi)
+        for sol in (cold, wrong):
+            assert sol.status == "optimal"
+            np.testing.assert_allclose(sol.z, [0.5, 0.5], atol=1e-8)
+            np.testing.assert_allclose(sol.z, z_ref, rtol=0.0, atol=1e-12)
+            assert abs(sol.objective - obj_ref) <= 1e-12 * (1.0 + abs(obj_ref))
+            gap, viol = weak_duality_gap(H, g, G, lo, hi, 0.0, sol.z, sol.y)
+            assert gap <= 1e-10 and viol <= 1e-10
 
     def test_max_iterations_status(self):
         # tol = 0 fails any nonzero residual. Rounding leaves one on this
@@ -84,6 +96,11 @@ class TestBasics:
             box_problem([[2.0]], [0.0], [np.nan], [1.0])
         with pytest.raises(ValueError, match="^bounds must not be NaN$"):
             box_problem(np.eye(2), [0.0, 0.0], [1.0, 0.0], [0.0, np.nan])
+        # a 1-D G is not read as one row
+        with pytest.raises(ValueError,
+                           match=r"^G must have 2 columns, got \(2,\)$"):
+            QpProblem(H=np.eye(2), g=[0.0, 0.0], G=[1.0, 1.0], lo=[0.0],
+                      hi=[1.0])
 
 
 class TestOracleAgreement:
@@ -255,20 +272,30 @@ class TestFixedBounds:
         np.testing.assert_array_equal(hot.z, sol.z)
 
     def test_second_bound_on_fixed_variable_never_joins(self):
-        # two upper bound rows on the coupled z0: the hot start holds the
-        # looser one, the tighter one is then violated but has no curvature
-        # on the set, so the looser row must leave before it can join
+        # two upper bound rows on the coupled z0. A hot start that holds the
+        # looser one: the tighter one is then violated but has no curvature
+        # on the set, so the looser row must leave before it can join (one
+        # row dropped, one added). A hot start that holds both is linearly
+        # dependent: it falls back to the empty set, which adds the tighter
+        # row alone
         H = np.array([[2.0, 1.0], [1.0, 2.0]])
         g = np.array([-8.0, -2.0])
         G = np.array([[1.0, 0.0], [1.0, 0.0]])
         lo = np.full(2, -np.inf)
         hi = np.array([1.0, 0.5])
-        p, sol = self.solve(H, g, G, lo, hi, y0=np.array([1.0, 0.0]))
-        assert sol.iterations == 2          # one row dropped, one added
-        assert sol.y[0] == 0.0 < sol.y[1]
-        assert sol.z[0] == 0.5
-        for data in p.mats._sets.values():
-            assert np.unique(data.evar).size == data.evar.size
+        for y0, iterations in (([1.0, 0.0], 2), ([1.0, 1.0], 1)):
+            p, sol = self.solve(H, g, G, lo, hi, y0=np.array(y0))
+            assert sol.iterations == iterations
+            assert sol.y[0] == 0.0 < sol.y[1]
+            assert sol.z[0] == 0.5
+            np.testing.assert_allclose(sol.z, [0.5, 0.75], rtol=0.0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(sol.y, [0.0, 6.25], rtol=0.0,
+                                       atol=1e-12)
+            # only the guess that holds both rows repeats a variable, and
+            # it is refused
+            for data in p.mats._sets.values():
+                assert data.ok == (np.unique(data.evar).size == data.evar.size)
 
     def test_opposite_bounds_on_fixed_variable_infeasible(self):
         # z0 <= 1 and z0 >= 2 on a coupled variable: with z0 fixed at one
